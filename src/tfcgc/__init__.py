@@ -15,7 +15,7 @@ from .boosting import BoostEnsemble, EvalReport, adaboost_train, evaluate
 from .convnet import ConvNetConfig, ConvNetModel, build_convnet
 from .pipeline import RunConfig, SynthSpec, TrialSet, run_pipeline, synth_generate
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BSplineSpec",

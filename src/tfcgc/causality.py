@@ -10,7 +10,7 @@ assessed with circular-shift surrogates of the source channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class FittedSystem:
 class NormalizedSystem:
     """Geweke-normalized system ready for spectral evaluation."""
 
-    kind: str  # "restricted" or "full"
+    kind: str  # "restricted", "full", or "raw" (identity zero-lag)
     zero_lag: np.ndarray  # (N, n, n) block lower-triangular, unit diagonal
     lag_coefficients: np.ndarray  # (N, K, n, n), zero_lag @ raw lag matrices
     noise_covariance: np.ndarray  # (N, n, n) transformed residual covariance
@@ -128,15 +128,7 @@ def fit_system(
     lag_mats = np.zeros((n, k_max, n_vars, n_vars))
     for i, chan in enumerate(channel_indices):
         others = [c for c in channel_indices if c != chan]
-        model = fit_tvarx(
-            signals,
-            chan,
-            others,
-            dictionary,
-            config.rofr,
-            config.forgetting,
-            config.init_window,
-        )
+        model = fit_tvarx(signals, chan, others, dictionary, config.rofr)
         models.append(model)
         for (c, k), series in model.timevarying_coefficients.items():
             v = channel_indices.index(c)
@@ -176,14 +168,13 @@ def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
     return _apply_zero_lag(system, c, "restricted")
 
 
-def normalize_full(system: FittedSystem) -> NormalizedSystem:
-    """Zero-lag transform D(t) = D2(t) D1(t) for the sink/source/Z system.
+def _full_transform(cov: np.ndarray) -> np.ndarray:
+    """D(t) = D2(t) D1(t) from the (N, n, n) residual covariance traces.
 
     D1 removes residual correlation of Y and the Z block with X; D2 removes
     the remaining Z-block correlation with Y via the conditional covariance.
     Within-Z-block correlation may remain.
     """
-    cov = system.residual_covariance
     n, n_vars, _ = cov.shape
     sigma_xx = cov[:, 0, 0]
     if np.any(sigma_xx <= 0):
@@ -201,8 +192,14 @@ def normalize_full(system: FittedSystem) -> NormalizedSystem:
     szy = cov[:, 2:, 1] - cov[:, 2:, 0] * (cov[:, 0, 1] / sigma_xx)[:, None]
     d2 = np.tile(np.eye(n_vars), (n, 1, 1))
     d2[:, 2:, 1] = -szy / syy[:, None]
-    d = np.einsum("tij,tjk->tik", d2, d1)
-    return _apply_zero_lag(system, d, "full")
+    return np.einsum("tij,tjk->tik", d2, d1)
+
+
+def normalize_full(system: FittedSystem) -> NormalizedSystem:
+    """Zero-lag transform D(t) = D2(t) D1(t) for the sink/source/Z system."""
+    return _apply_zero_lag(
+        system, _full_transform(system.residual_covariance), "full"
+    )
 
 
 def spectral_matrices(
@@ -315,70 +312,62 @@ class CgcMap:
             raise InvalidRangeError("map value dimensions do not match axes")
 
 
-def _map_values(
-    signals: np.ndarray,
-    source: int,
-    sink: int,
-    conditioning: list[int],
+def _raw_spectrum(
+    system: FittedSystem,
     sampling_rate: float,
-    config: CgcConfig,
     freqs: np.ndarray,
     time_indices: np.ndarray,
 ) -> np.ndarray:
-    restricted = fit_system(signals, [sink] + conditioning, config)
-    full = fit_system(signals, [sink, source] + conditioning, config)
-    norm_r = normalize_restricted(restricted)
-    norm_f = normalize_full(full)
-    a_mat = spectral_matrices(norm_r, sampling_rate, freqs, time_indices)
-    b_mat = spectral_matrices(norm_f, sampling_rate, freqs, time_indices)
-    row = _combined_sink_row(a_mat, b_mat)
-    return _causality_from_row(row, norm_f.noise_covariance[time_indices])
-
-
-def _combined_sink_row(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """Sink row of R = Ghat^-1 H without forming any explicit inverse.
-
-    The embedded restricted transfer Ghat carries an identity row/column
-    at the source slot, so its inverse is the embedding of A itself:
-    row 0 of R is (embed A)_0 B^-1, obtained from one batched solve
-    against B^T.
-    """
-    n = b_mat.shape[-1]
-    v = np.zeros(b_mat.shape[:-1], dtype=complex)
-    v[..., 0] = a_mat[..., 0, 0]
-    v[..., 2:] = a_mat[..., 0, 1:]
-    bt = np.swapaxes(b_mat, -1, -2)
-    try:
-        row = np.linalg.solve(bt, v[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("singular full coefficient matrix") from exc
-    resid = np.abs(np.einsum("...ij,...j->...i", bt, row) - v).max(axis=-1)
-    scale = np.maximum(np.abs(v).max(axis=-1), 1.0)
-    bad = resid > 1e-8 * scale
-    if not np.all(np.isfinite(row)) or np.any(bad):
-        t, f = np.unravel_index(int(np.argmax(resid / scale)), resid.shape)
-        raise ConditioningError(
-            f"ill-conditioned coefficient matrix at grid point (t={t}, f={f})",
-            t=t, f=f,
-        )
-    return row
-
-
-def permute_system(system: FittedSystem, channel_order) -> FittedSystem:
-    """Reindex a fitted system to a new channel ordering (same channel set)."""
-    channel_order = list(channel_order)
-    if sorted(channel_order) != sorted(system.channel_indices):
-        raise InvalidConfigurationError("channel_order must permute the fitted set")
-    perm = [system.channel_indices.index(c) for c in channel_order]
-    idx = np.array(perm)
-    return FittedSystem(
-        channel_indices=channel_order,
-        models=[system.models[p] for p in perm],
-        lag_matrices=system.lag_matrices[:, :, idx[:, None], idx[None, :]],
-        residual_covariance=system.residual_covariance[:, idx[:, None], idx[None, :]],
-        n_samples=system.n_samples,
-        start_sample=system.start_sample,
+    """Abar(t, f) = I - sum_k a_k(t) exp(-i 2 pi f k / f_s) of a fitted system."""
+    n, _, n_vars, _ = system.lag_matrices.shape
+    raw = NormalizedSystem(
+        "raw",
+        np.broadcast_to(np.eye(n_vars), (n, n_vars, n_vars)),
+        system.lag_matrices,
+        system.residual_covariance,
     )
+    return spectral_matrices(raw, sampling_rate, freqs, time_indices)
+
+
+def _pair_values(
+    full: FittedSystem,
+    restricted_fits,
+    sampling_rate: float,
+    freqs: np.ndarray,
+    time_indices: np.ndarray,
+):
+    """Causality values of the directed pairs that share one full fit.
+
+    ``restricted_fits`` yields ``(source, restricted, sinks)`` where
+    ``restricted`` spans the full fit's channels without ``source``.  In
+    the pair order ``[sink, source] + conditioning`` (permutation P) the
+    full system's normalized spectrum is B = D(t) P Abar P^T, and the
+    restricted zero-lag transform has a unit first row.  The sink row of
+    R = Ghat^-1 H is therefore v Abar^-1 P^T D(t)^-1, with v the sink row
+    of the raw restricted spectrum placed in the full fit's channel order
+    and 0 at the source.  Abar is inverted once; each restricted spectrum
+    is evaluated once and serves all of its sinks.
+
+    Yields ``(source, sink, conditioning, values)``.
+    """
+    a_inv = _batched_inverse(
+        _raw_spectrum(full, sampling_rate, freqs, time_indices), "coefficient"
+    )
+    slot = {c: i for i, c in enumerate(full.channel_indices)}
+    for source, restricted, sinks in restricted_fits:
+        spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
+        kept = [slot[c] for c in restricted.channel_indices]
+        for sink in sinks:
+            conditioning = [c for c in restricted.channel_indices if c != sink]
+            order = np.array([slot[c] for c in [sink, source] + conditioning])
+            v = np.zeros(a_inv.shape[:-1], dtype=complex)
+            v[..., kept] = spectrum[:, :, restricted.channel_indices.index(sink)]
+            row = (v[..., None, :] @ a_inv)[..., 0, order]
+            cov = full.residual_covariance[:, order[:, None], order]
+            d = _full_transform(cov)[time_indices]
+            row = (row[..., None, :] @ np.linalg.inv(d)[:, None])[..., 0, :]
+            noise = d @ cov[time_indices] @ np.swapaxes(d, -1, -2)
+            yield source, sink, conditioning, _causality_from_row(row, noise)
 
 
 def pairwise_maps(
@@ -389,10 +378,10 @@ def pairwise_maps(
 ) -> dict[tuple[int, int], CgcMap]:
     """All ordered-pair maps among ``channels``, conditioning on the rest.
 
-    Fits one full system over all channels and one restricted system per
-    excluded source, then evaluates every directed pair by permuting the
-    shared fits, so n channels cost n + n*(n-1) equation fits instead of
-    refitting per pair.
+    Fits one full system over all channels and, source by source, one
+    restricted system without that source.  Every directed pair comes from
+    the one inverse of the full fit's spectrum, so n channels cost
+    n + n*(n-1) equation fits instead of refitting per pair.
     """
     config = config or CgcConfig()
     channels = list(channels)
@@ -400,38 +389,26 @@ def pairwise_maps(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    full_fit = fit_system(signals, channels, config)
-    restricted_fits = {
-        src: fit_system(signals, [c for c in channels if c != src], config)
-        for src in channels
-    }
+    full = fit_system(signals, channels, config)
+
+    def restricted_fits():
+        for src in channels:
+            rest = [c for c in channels if c != src]
+            yield src, fit_system(signals, rest, config), rest
+
     maps: dict[tuple[int, int], CgcMap] = {}
-    for source in channels:
-        for sink in channels:
-            if source == sink:
-                continue
-            conditioning = [c for c in channels if c not in (source, sink)]
-            restricted = permute_system(
-                restricted_fits[source], [sink] + conditioning
-            )
-            full = permute_system(full_fit, [sink, source] + conditioning)
-            norm_r = normalize_restricted(restricted)
-            norm_f = normalize_full(full)
-            a_mat = spectral_matrices(norm_r, sampling_rate, freqs, time_indices)
-            b_mat = spectral_matrices(norm_f, sampling_rate, freqs, time_indices)
-            row = _combined_sink_row(a_mat, b_mat)
-            values = _causality_from_row(
-                row, norm_f.noise_covariance[time_indices]
-            )
-            maps[(source, sink)] = CgcMap(
-                source=source,
-                sink=sink,
-                conditioning=conditioning,
-                time_axis=time_axis,
-                freq_axis=freqs,
-                values=values,
-                sampling_rate=sampling_rate,
-            )
+    for source, sink, conditioning, values in _pair_values(
+        full, restricted_fits(), sampling_rate, freqs, time_indices
+    ):
+        maps[(source, sink)] = CgcMap(
+            source=source,
+            sink=sink,
+            conditioning=conditioning,
+            time_axis=time_axis,
+            freq_axis=freqs,
+            values=values,
+            sampling_rate=sampling_rate,
+        )
     return maps
 
 
@@ -456,8 +433,12 @@ def tf_cgc_map(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    values = _map_values(
-        signals, source, sink, conditioning, sampling_rate, config, freqs, time_indices
+    restricted = fit_system(signals, [sink] + conditioning, config)
+    full = fit_system(signals, [sink, source] + conditioning, config)
+    *_, values = next(
+        _pair_values(
+            full, [(source, restricted, [sink])], sampling_rate, freqs, time_indices
+        )
     )
     return CgcMap(
         source=source,
@@ -498,22 +479,27 @@ def significance_test(
     n = signals.shape[1]
     min_shift = int(np.ceil(0.1 * n))
     rng = np.random.default_rng(seed)
-    freqs = cgc_map.freq_axis
+    source, sink = cgc_map.source, cgc_map.sink
+    conditioning = cgc_map.conditioning
     time_indices = cgc_map.time_axis - 1
+    # the restricted system excludes the source, so no shift changes it
+    restricted = [
+        (source, fit_system(signals, [sink] + conditioning, config), [sink])
+    ]
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):
         shift = int(rng.integers(min_shift, n - min_shift + 1))
         surr = signals.copy()
-        surr[cgc_map.source] = np.roll(surr[cgc_map.source], shift)
-        ensemble[s] = _map_values(
-            surr,
-            cgc_map.source,
-            cgc_map.sink,
-            cgc_map.conditioning,
-            cgc_map.sampling_rate,
-            config,
-            freqs,
-            time_indices,
+        surr[source] = np.roll(surr[source], shift)
+        full = fit_system(surr, [sink, source] + conditioning, config)
+        *_, ensemble[s] = next(
+            _pair_values(
+                full,
+                restricted,
+                cgc_map.sampling_rate,
+                cgc_map.freq_axis,
+                time_indices,
+            )
         )
     threshold = np.quantile(ensemble, 1.0 - level, axis=0, method="higher")
     mask = cgc_map.values > threshold

@@ -24,6 +24,7 @@ from .causality import (
     LevelUnachievableError,
     tf_cgc_map,
 )
+from .identify import EmptyModelError
 from .images import CausalityImage, export_image
 
 log = logging.getLogger("tfcgc")
@@ -34,6 +35,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 NUMERIC_ERRORS = (
+    EmptyModelError,
     ConditioningError,
     DegenerateVarianceError,
     DegenerateSpectrumError,

@@ -1,4 +1,4 @@
-"""Serialization: binary grids, model checkpoints, and text formats.
+"""Serialization: binary grids, model checkpoints, and ensemble manifests.
 
 Grid files hold one or more named real matrices with their axes in a
 versioned binary layout (JSON header + row-major 64-bit payload) so
@@ -60,14 +60,27 @@ def _pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack(magic: bytes, data: bytes) -> tuple[dict, memoryview]:
+def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a file written by ``_pack``: its header and its named arrays."""
+    with open(str(path), "rb") as fh:
+        data = fh.read()
     if data[: len(magic)] != magic:
         raise FormatError(f"bad magic, expected {magic!r}")
     off = len(magic)
     (hlen,) = struct.unpack_from("<Q", data, off)
     off += 8
     header = json.loads(data[off : off + hlen].decode())
-    return header, memoryview(data)[off + hlen :]
+    off += hlen
+    arrays = {}
+    for entry in header["entries"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape))
+        if off + 8 * count > len(data):
+            raise FormatError(f"truncated {kind} payload")
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+        arrays[entry["name"]] = arr.reshape(shape).copy()
+        off += 8 * count
+    return header, arrays
 
 
 def write_grid(path, arrays: dict[str, np.ndarray], axes=None, meta=None) -> None:
@@ -91,31 +104,9 @@ def write_grid(path, arrays: dict[str, np.ndarray], axes=None, meta=None) -> Non
 
 def read_grid(path) -> tuple[dict[str, np.ndarray], dict, dict]:
     """Read back (arrays, axes, meta) from a grid file."""
-    with open(str(path), "rb") as fh:
-        data = fh.read()
-    header, body = _unpack(GRID_MAGIC, data)
-    arrays = {}
-    off = 0
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(body):
-            raise FormatError("truncated grid payload")
-        arr = np.frombuffer(body[off : off + nbytes], dtype="<f8").reshape(shape)
-        arrays[entry["name"]] = arr.copy()
-        off += nbytes
+    header, arrays = _unpack(GRID_MAGIC, "grid", path)
     axes = {k: np.asarray(v) for k, v in header.get("axes", {}).items()}
     return arrays, axes, header.get("meta", {})
-
-
-def write_map_csv(path, values: np.ndarray, time_axis, freq_axis) -> None:
-    """Debug export: header row of frequencies, one row per time sample."""
-    values = np.asarray(values)
-    lines = ["time," + ",".join(f"{f:.6g}" for f in freq_axis)]
-    for t, row in zip(time_axis, values):
-        lines.append(f"{t:.6g}," + ",".join(repr(float(v)) for v in row))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_checkpoint(path, config, tensors: dict[str, np.ndarray], extra=None) -> None:
@@ -141,22 +132,9 @@ def save_checkpoint(path, config, tensors: dict[str, np.ndarray], extra=None) ->
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     """Read back (config, tensors, extra) from a checkpoint file."""
-    with open(str(path), "rb") as fh:
-        data = fh.read()
-    header, body = _unpack(CHECKPOINT_MAGIC, data)
+    header, tensors = _unpack(CHECKPOINT_MAGIC, "checkpoint", path)
     if header.get("version") != 1:
         raise FormatError(f"unsupported checkpoint version {header.get('version')}")
-    tensors = {}
-    off = 0
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(body):
-            raise FormatError("truncated checkpoint payload")
-        arr = np.frombuffer(body[off : off + nbytes], dtype="<f8").reshape(shape)
-        tensors[entry["name"]] = arr.copy()
-        off += nbytes
     return header["config"], tensors, header.get("extra", {})
 
 
@@ -241,30 +219,3 @@ def load_ensemble(manifest_path):
         n_train=manifest["n_train"],
         n_val=manifest["n_val"],
     )
-
-
-def write_history_csv(path, history: list[dict]) -> None:
-    """Training history rows (epoch, train_loss, score) as CSV."""
-    lines = ["epoch,train_loss,score"]
-    for row in history:
-        lines.append(f"{row['epoch']},{row['train_loss']!r},{row['score']!r}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def write_tvarx_text(path, model) -> None:
-    """Audit listing of a fitted time-varying model: config + term table."""
-    lines = [
-        "tvarx-model v1",
-        f"target {model.target_index}",
-        f"predictors {' '.join(str(p) for p in model.predictor_indices)}",
-        f"start_sample {model.start_sample}",
-        f"final_noise_variance {float(model.noise_variance[-1])!r}",
-        "terms (variable lag order scale shift coefficient):",
-    ]
-    for (var, lag, spec), coef in zip(
-        model.selected_terms, model.expansion_coefficients
-    ):
-        lines.append(
-            f"  {var} {lag} {spec.order} {spec.scale} {spec.shift} {float(coef)!r}"
-        )
-    atomic_write(path, ("\n".join(lines) + "\n").encode())

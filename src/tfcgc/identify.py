@@ -307,7 +307,6 @@ class TvarxModel:
     selected_terms: list[tuple[int, int, BSplineSpec]]  # (variable slot, lag, basis)
     expansion_coefficients: np.ndarray
     residuals: np.ndarray  # full length N, zero before start_sample
-    noise_variance: np.ndarray = field(default=None)  # recursive trace, length N
     timevarying_coefficients: dict = field(default_factory=dict)
 
     @property
@@ -341,10 +340,8 @@ def fit_tvarx(
     predictor_indices,
     dictionary: MultiwaveletDictionary,
     rofr: RofrConfig | None = None,
-    forgetting: float = 0.02,
-    init_window: int = 50,
 ) -> TvarxModel:
-    """Fit one equation: expand, select, solve, reconstruct, track noise."""
+    """Fit one equation: expand, select, solve, reconstruct."""
     rofr = rofr or RofrConfig()
     problem = expand_regressors(signals, target_index, predictor_indices, dictionary)
     result = rofr_select(problem, rofr)
@@ -353,13 +350,6 @@ def fit_tvarx(
     residuals = np.zeros(n)
     fitted = problem.design_matrix[:, result.selected_indices] @ result.coefficients
     residuals[problem.start_sample - 1 :] = problem.target - fitted
-    usable_res = residuals[problem.start_sample - 1 :]
-    w = min(init_window, usable_res.shape[0])
-    var_trace = np.empty(n)
-    var_trace[: problem.start_sample - 1] = (usable_res[:w] ** 2).mean()
-    var_trace[problem.start_sample - 1 :] = recursive_covariance(
-        usable_res, usable_res, forgetting, w
-    )
     model = TvarxModel(
         target_index=target_index,
         predictor_indices=list(predictor_indices),
@@ -371,7 +361,6 @@ def fit_tvarx(
         selected_terms=terms,
         expansion_coefficients=result.coefficients,
         residuals=residuals,
-        noise_variance=var_trace,
     )
     model.timevarying_coefficients = reconstruct_coefficients(model)
     return model

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -192,11 +193,14 @@ def _load_trial_csv(path):
                         f"{path}:{lineno}: expected {len(names)} columns"
                     )
                 try:
-                    rows.append([float(c) for c in cells])
+                    row = [float(c) for c in cells]
                 except ValueError as exc:
                     raise DataError(
                         f"{path}:{lineno}: non-numeric cell"
                     ) from exc
+                if not all(map(math.isfinite, row)):
+                    raise DataError(f"{path}:{lineno}: non-finite sample")
+                rows.append(row)
     except OSError as exc:
         raise DataError(f"missing trial file: {path}") from exc
     if not rows:

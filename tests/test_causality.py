@@ -9,13 +9,13 @@ from tfcgc.causality import (
     InvalidRangeError,
     LevelUnachievableError,
     NormalizedSystem,
+    _pair_values,
     combine_transfer,
     conditional_causality,
     fit_system,
     normalize_full,
     normalize_restricted,
     pairwise_maps,
-    permute_system,
     significance_test,
     spectral_matrices,
     tf_cgc_map,
@@ -395,8 +395,11 @@ class TestTfCgcMap:
         cfg = CHEAP
         maps = pairwise_maps(sig, [0, 1, 2, 3], 250.0, cfg)
         assert len(maps) == 12
-        single = tf_cgc_map(sig, 2, 0, [1, 3], 250.0, cfg)
-        np.testing.assert_allclose(maps[(2, 0)].values, single.values, atol=1e-8)
+        for (source, sink), pair in maps.items():
+            conditioning = [c for c in range(4) if c not in (source, sink)]
+            assert pair.conditioning == conditioning
+            single = tf_cgc_map(sig, source, sink, conditioning, 250.0, cfg)
+            np.testing.assert_allclose(pair.values, single.values, atol=1e-8)
 
     def test_decimation(self):
         rng = np.random.default_rng(8)
@@ -449,14 +452,22 @@ class TestSignificance:
             significance_test(m, sig, CHEAP, n_surrogates=0)
 
 
-class TestPermuteSystem:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(12)
-        sig = rng.standard_normal((3, 300))
-        sys = fit_system(sig, [0, 1, 2], CHEAP)
-        perm = permute_system(sys, [2, 0, 1])
-        back = permute_system(perm, [0, 1, 2])
-        np.testing.assert_array_equal(back.lag_matrices, sys.lag_matrices)
-        np.testing.assert_array_equal(
-            back.residual_covariance, sys.residual_covariance
+class TestPairValues:
+    def test_singular_spectrum_located(self):
+        # a lag-1 rotation by 2 pi 10 / f_s makes I - R e^{-i 2 pi f / f_s}
+        # singular at f = 10 Hz, here only at t = 3
+        fs = 250.0
+        theta = 2 * np.pi * 10.0 / fs
+        rot = np.array(
+            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
+        n = 6
+        lag = np.zeros((n, 1, 2, 2))
+        lag[3, 0] = rot
+        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
+        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        freqs = np.array([6.0, 8.0, 10.0, 12.0])
+        pairs = _pair_values(full, [(1, restricted, [0])], fs, freqs, np.arange(n))
+        with pytest.raises(ConditioningError) as info:
+            next(pairs)
+        assert (info.value.t, info.value.f) == (3, 2)

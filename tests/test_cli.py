@@ -4,6 +4,7 @@ import pytest
 from tfcgc import gridio, pipeline
 from tfcgc.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     build_run_config,
@@ -176,6 +177,30 @@ class TestCausalityCommand:
             ]
         )
         assert code == EXIT_DATA
+
+    def test_flat_sink_channel(self, tmp_path, capsys):
+        ts = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=0
+        )
+        c3 = ts.channel_names.index("C3")
+        for trial in ts.trials:
+            trial.data[c3] = 0.0
+        data_dir = tmp_path / "data"
+        pipeline.save_trials(ts, data_dir)
+        code = main(
+            [
+                "causality",
+                "--config", write_cfg(tmp_path, CHEAP_CFG),
+                "--trial", str(data_dir / "train_left_000.csv"),
+                "--source", "C4",
+                "--sink", "C3",
+                "--out", str(tmp_path / "map.grid"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure: ")
+        assert "Traceback" not in err
 
 
 class TestImageCommand:

@@ -16,9 +16,6 @@ from tfcgc.gridio import (
     save_convnet,
     save_ensemble,
     write_grid,
-    write_history_csv,
-    write_map_csv,
-    write_tvarx_text,
 )
 
 
@@ -51,22 +48,13 @@ class TestGrid:
         write_grid(path, {"v": np.ones((4, 4))})
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated grid payload"):
             read_grid(path)
 
     def test_no_temp_leftovers(self, tmp_path):
         write_grid(tmp_path / "a.grid", {"v": np.zeros((2, 2))})
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
-
-    def test_map_csv(self, tmp_path):
-        values = np.array([[0.5, 1.25], [2.0, -0.125]])
-        path = tmp_path / "map.csv"
-        write_map_csv(path, values, [1, 2], [6.0, 6.1])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,6,6.1"
-        parsed = [float(x) for x in lines[1].split(",")]
-        assert parsed == [1.0, 0.5, 1.25]
 
 
 class TestCheckpoint:
@@ -79,6 +67,13 @@ class TestCheckpoint:
         assert extra == {"note": "x"}
         for name in tensors:
             np.testing.assert_array_equal(back[name], tensors[name])
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {}, {"w": np.ones((3, 3))})
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="truncated checkpoint payload"):
+            load_checkpoint(path)
 
     def test_convnet_round_trip(self, tmp_path):
         cfg = convnet.ConvNetConfig(
@@ -138,36 +133,6 @@ class TestCheckpoint:
 
 
 class TestTextOutputs:
-    def test_history_csv(self, tmp_path):
-        history = [
-            {"epoch": 0, "train_loss": 0.75, "score": 0.5},
-            {"epoch": 1, "train_loss": 0.5, "score": 0.625},
-        ]
-        path = tmp_path / "hist.csv"
-        write_history_csv(path, history)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,score"
-        assert lines[1].split(",")[0] == "0"
-        assert float(lines[2].split(",")[1]) == 0.5
-
-    def test_tvarx_text(self, tmp_path):
-        from tfcgc.bsplines import build_dictionary
-        from tfcgc.identify import RofrConfig, fit_tvarx
-
-        rng = np.random.default_rng(3)
-        n = 300
-        x = np.zeros(n)
-        for t in range(1, n):
-            x[t] = 0.6 * x[t - 1] + rng.standard_normal()
-        d = build_dictionary({3}, 0, [2])
-        model = fit_tvarx(np.vstack([x]), 0, [], d, RofrConfig())
-        path = tmp_path / "model.txt"
-        write_tvarx_text(path, model)
-        text = path.read_text()
-        assert text.startswith("tvarx-model v1\n")
-        assert "target 0" in text
-        assert "final_noise_variance" in text
-
     def test_config_hash_stability(self):
         a = config_hash({"x": 1, "y": [1, 2]})
         b = config_hash({"y": [1, 2], "x": 1})

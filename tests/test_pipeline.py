@@ -94,6 +94,14 @@ class TestManifestIO:
         with pytest.raises(DataError, match="non-numeric"):
             load_trials(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        (tmp_path / "t.csv").write_text(f"Fz,C3\n0.1,0.2\n0.3,{cell}\n")
+        path = tmp_path / "m.csv"
+        path.write_text("# fs: 250\ntrial_file,label,split\nt.csv,left,train\n")
+        with pytest.raises(DataError, match=r"t\.csv:3: non-finite sample"):
+            load_trials(path)
+
     def test_superset_channels_load(self, tmp_path):
         names = "Fz,C3,Cz,C4,Pz,EOG"
         rows = "\n".join(",".join("0.1" for _ in range(6)) for _ in range(20))
