@@ -233,7 +233,9 @@ def _batched_inverse(mats: np.ndarray, what: str) -> np.ndarray:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular {what} matrix on the grid") from exc
-    resid = np.abs(mats @ inv - np.eye(mats.shape[-1])).max(axis=(-2, -1))
+    resid = mats @ inv
+    resid -= np.eye(mats.shape[-1])  # in place: the grid is the crop's largest array
+    resid = np.abs(resid).max(axis=(-2, -1))
     if not np.all(np.isfinite(inv)) or resid.max() > 1e-8:
         t, f = np.unravel_index(int(np.nanargmax(resid)), resid.shape)
         raise ConditioningError(
@@ -331,22 +333,24 @@ def _raw_spectrum(
 
 def _pair_values(
     full: FittedSystem,
-    restricted_fits,
+    restricted_spectra,
     sampling_rate: float,
     freqs: np.ndarray,
     time_indices: np.ndarray,
 ):
     """Causality values of the directed pairs that share one full fit.
 
-    ``restricted_fits`` yields ``(source, restricted, sinks)`` where
-    ``restricted`` spans the full fit's channels without ``source``.  In
-    the pair order ``[sink, source] + conditioning`` (permutation P) the
-    full system's normalized spectrum is B = D(t) P Abar P^T, and the
-    restricted zero-lag transform has a unit first row.  The sink row of
-    R = Ghat^-1 H is therefore v Abar^-1 P^T D(t)^-1, with v the sink row
-    of the raw restricted spectrum placed in the full fit's channel order
-    and 0 at the source.  Abar is inverted once; each restricted spectrum
-    is evaluated once and serves all of its sinks.
+    ``restricted_spectra`` yields ``(source, channels, spectrum, sinks)``
+    where ``channels`` are the full fit's channels without ``source`` and
+    ``spectrum`` is the raw spectrum of the system fitted on them
+    (``_raw_spectrum``), so a caller that reuses one restricted fit
+    evaluates it once.  In the pair order ``[sink, source] + conditioning``
+    (permutation P) the full system's normalized spectrum is
+    B = D(t) P Abar P^T, and the restricted zero-lag transform has a unit
+    first row.  The sink row of R = Ghat^-1 H is therefore
+    v Abar^-1 P^T D(t)^-1, with v the sink row of the raw restricted
+    spectrum placed in the full fit's channel order and 0 at the source.
+    Abar is inverted once; each restricted spectrum serves all its sinks.
 
     Yields ``(source, sink, conditioning, values)``.
     """
@@ -354,14 +358,13 @@ def _pair_values(
         _raw_spectrum(full, sampling_rate, freqs, time_indices), "coefficient"
     )
     slot = {c: i for i, c in enumerate(full.channel_indices)}
-    for source, restricted, sinks in restricted_fits:
-        spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
-        kept = [slot[c] for c in restricted.channel_indices]
+    for source, channels, spectrum, sinks in restricted_spectra:
+        kept = [slot[c] for c in channels]
         for sink in sinks:
-            conditioning = [c for c in restricted.channel_indices if c != sink]
+            conditioning = [c for c in channels if c != sink]
             order = np.array([slot[c] for c in [sink, source] + conditioning])
             v = np.zeros(a_inv.shape[:-1], dtype=complex)
-            v[..., kept] = spectrum[:, :, restricted.channel_indices.index(sink)]
+            v[..., kept] = spectrum[:, :, channels.index(sink)]
             row = (v[..., None, :] @ a_inv)[..., 0, order]
             cov = full.residual_covariance[:, order[:, None], order]
             d = _full_transform(cov)[time_indices]
@@ -391,14 +394,16 @@ def pairwise_maps(
     time_indices = time_axis - 1
     full = fit_system(signals, channels, config)
 
-    def restricted_fits():
+    def restricted_spectra():
         for src in channels:
             rest = [c for c in channels if c != src]
-            yield src, fit_system(signals, rest, config), rest
+            restricted = fit_system(signals, rest, config)
+            spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
+            yield src, rest, spectrum, rest
 
     maps: dict[tuple[int, int], CgcMap] = {}
     for source, sink, conditioning, values in _pair_values(
-        full, restricted_fits(), sampling_rate, freqs, time_indices
+        full, restricted_spectra(), sampling_rate, freqs, time_indices
     ):
         maps[(source, sink)] = CgcMap(
             source=source,
@@ -433,11 +438,13 @@ def tf_cgc_map(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    restricted = fit_system(signals, [sink] + conditioning, config)
+    kept = [sink] + conditioning
+    restricted = fit_system(signals, kept, config)
+    spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
     full = fit_system(signals, [sink, source] + conditioning, config)
     *_, values = next(
         _pair_values(
-            full, [(source, restricted, [sink])], sampling_rate, freqs, time_indices
+            full, [(source, kept, spectrum, [sink])], sampling_rate, freqs, time_indices
         )
     )
     return CgcMap(
@@ -482,10 +489,12 @@ def significance_test(
     source, sink = cgc_map.source, cgc_map.sink
     conditioning = cgc_map.conditioning
     time_indices = cgc_map.time_axis - 1
-    # the restricted system excludes the source, so no shift changes it
-    restricted = [
-        (source, fit_system(signals, [sink] + conditioning, config), [sink])
-    ]
+    fs, freqs = cgc_map.sampling_rate, cgc_map.freq_axis
+    # the restricted system excludes the source, so no shift changes it:
+    # one fit and one spectrum serve every surrogate
+    kept = [sink] + conditioning
+    spectrum = _raw_spectrum(fit_system(signals, kept, config), fs, freqs, time_indices)
+    restricted = [(source, kept, spectrum, [sink])]
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):
         shift = int(rng.integers(min_shift, n - min_shift + 1))
@@ -493,13 +502,7 @@ def significance_test(
         surr[source] = np.roll(surr[source], shift)
         full = fit_system(surr, [sink, source] + conditioning, config)
         *_, ensemble[s] = next(
-            _pair_values(
-                full,
-                restricted,
-                cgc_map.sampling_rate,
-                cgc_map.freq_axis,
-                time_indices,
-            )
+            _pair_values(full, restricted, fs, freqs, time_indices)
         )
     threshold = np.quantile(ensemble, 1.0 - level, axis=0, method="higher")
     mask = cgc_map.values > threshold

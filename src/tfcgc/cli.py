@@ -296,6 +296,7 @@ def _cmd_eval(args) -> int:
     filtered = pipeline.bandpass(trial_set, *config.band).subset("test")
     if len(filtered) == 0:
         raise pipeline.DataError("no test trials in manifest")
+    pipeline.check_crop_parity(filtered, config)
     images, _, ids, groups = pipeline.trial_images(filtered, config)
     predictions = [
         boosting.predict_trial(ensemble, images[rows]) for rows in groups

@@ -11,10 +11,12 @@ back-substitution on the orthogonal decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.signal import lfilter
 
-from .bsplines import BSplineSpec, MultiwaveletDictionary, basis_eval
+from .bsplines import BSplineSpec, MultiwaveletDictionary, basis_eval, build_dictionary
 
 __all__ = [
     "RofrConfig",
@@ -138,9 +140,7 @@ def expand_regressors(
             f"need more than max-lag={max_lag} samples, got {n}"
         )
     start = max_lag + 1  # 1-based first usable t
-    t_idx = np.arange(start, n + 1)
-    u = t_idx / n
-    basis = dictionary.basis_matrix(u)  # (usable, bases_per_term)
+    basis = _sampled_basis(dictionary.orders, dictionary.scale, start, n)
     blocks = []
     for v, max_lag_v in zip(variables, dictionary.lags_per_variable):
         sig = signals[v]
@@ -154,6 +154,37 @@ def expand_regressors(
     return RegressionProblem(psi, target, dictionary, start, n)
 
 
+@lru_cache(maxsize=8)
+def _sampled_basis(orders, scale: int, start: int, n: int) -> np.ndarray:
+    """Per-term basis values at u = t/N, t = start..N, shape (usable, bases).
+
+    Every equation fitted on one series length shares this matrix (25 per
+    full-scale crop), so it is built once and returned read-only.
+    """
+    u = np.arange(start, n + 1) / n
+    basis = build_dictionary(orders, scale, [1]).basis_matrix(u)
+    basis.flags.writeable = False
+    return basis
+
+
+# relative size below which an inner-product deflated norm is recomputed
+_GRAM_GUARD = 1e-8
+
+
+def _deflate(columns: np.ndarray, q: int) -> np.ndarray:
+    """Modified Gram-Schmidt on a copy of ``columns``.
+
+    Column s < q becomes q_s; every later column, including those past
+    ``q``, is deflated against each q_s in turn.
+    """
+    h = np.array(columns, dtype=float)
+    for s in range(q):
+        hs = h[:, s]
+        rest = h[:, s + 1 :]
+        rest -= np.outer(hs, (hs @ rest) / (hs @ hs))
+    return h
+
+
 def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     """Greedy forward selection on the regularized error reduction ratio.
 
@@ -161,10 +192,29 @@ def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     1 - sum(RERR) equals the error-to-signal ratio fed to PESR.  Candidates
     whose orthogonalized squared norm falls below the elimination threshold
     are screened out (including at step 1, which removes all-zero columns).
+
+    The search runs in the correlation form of orthogonal least squares
+    (Chen, Billings & Luo 1989) on inner products, never deflating the
+    N x M candidate matrix.  Per candidate j it keeps a_s[j] = <q_s, psi_j>,
+    the deflated squared norm ||h_j||^2 and <h_j, X> (which equals
+    <h_j, r> because h_j is orthogonal to every chosen q).  Step s needs
+    only the Gram row G[b] = Psi^T psi_b of the column b it picks, one
+    matrix-vector product: the full Psi^T Psi would cost M/2 times the
+    steps taken, and a matrix product that large runs BLAS-threaded,
+    which oversubscribes the cores inside the pipeline's worker pool.
+    Q, V and the residual are built once the PESR argmin fixes q, by
+    modified Gram-Schmidt on the chosen columns.
+
+    Inner-product norms lose precision to cancellation, about
+    1e-16 * ||psi_j||^2, while the dictionary holds exactly collinear
+    columns (orders 3/4/5 share constants and linear functions).  Wherever
+    a candidate's norm has fallen below ``_GRAM_GUARD * ||psi_j||^2``, it
+    and <h_j, X> are recomputed from Psi and the chosen columns, so the
+    absolute screen judges the explicitly deflated value.
     """
     psi = problem.design_matrix
     x = problem.target
-    n_rows, m = psi.shape
+    m = psi.shape[1]
     eps = config.elimination_threshold
     col_sq = np.einsum("ij,ij->j", psi, psi)
     rho = config.regularization
@@ -174,8 +224,8 @@ def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     if xtx <= 0:
         raise EmptyModelError("target vector has zero energy")
 
-    h = psi.copy()  # orthogonalized candidates, deflated in place
-    h_sq = col_sq.copy()
+    h_sq = col_sq.copy()  # ||h_j||^2 of the deflated candidates
+    h_x = psi.T @ x  # <h_j, X>
     active = h_sq >= eps
     if not active.any():
         raise EmptyModelError("all candidates eliminated by the norm screen")
@@ -184,38 +234,35 @@ def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     mu = config.pesr_mu
     max_steps = min(config.max_terms, int(active.sum()))
 
+    corr = np.empty((max_steps, m))  # row s: a_s = Psi^T q_s
+    q_sq = np.empty(max_steps)  # ||q_s||^2
     selected: list[int] = []
     rerr_seq: list[float] = []
     pesr_seq: list[float] = []
-    q_cols: list[np.ndarray] = []
-    residuals: list[np.ndarray] = [x.copy()]
     rising = 0
-    r = x.copy()
     for step in range(1, max_steps + 1):
         if mu * step / n_pesr >= 1.0:
             break  # PESR penalty undefined beyond this size
         if not active.any():
             break
-        proj = h[:, active].T @ r
-        scores = proj**2 / (xtx * (h_sq[active] + rho))
         act_idx = np.flatnonzero(active)
-        best = act_idx[int(np.argmax(scores))]
-        hb = h[:, best].copy()
-        hb_sq = h_sq[best]
-        rerr = float((hb @ r) ** 2 / (xtx * (hb_sq + rho)))
-        r = r - ((r @ hb) / hb_sq) * hb
+        scores = h_x[act_idx] ** 2 / (xtx * (h_sq[act_idx] + rho))
+        pick = int(np.argmax(scores))
+        best = int(act_idx[pick])
+        s = step - 1
+        q_sq[s] = h_sq[best]
+        corr[s] = psi.T @ psi[:, best] - (corr[:s, best] / q_sq[:s]) @ corr[:s]
+        h_x -= (h_x[best] / q_sq[s]) * corr[s]
+        h_sq -= corr[s] ** 2 / q_sq[s]
         selected.append(best)
-        rerr_seq.append(rerr)
-        q_cols.append(hb)
-        residuals.append(r.copy())
+        rerr_seq.append(float(scores[pick]))
         active[best] = False
-        # deflate remaining candidates against the new orthogonal direction
-        if active.any():
-            coef = (hb @ h[:, active]) / hb_sq
-            h[:, active] -= np.outer(hb, coef)
-            h_sq[active] = np.einsum("ij,ij->j", h[:, active], h[:, active])
-            newly_dead = active & (h_sq < eps)
-            active &= ~newly_dead
+        suspect = np.flatnonzero(active & (h_sq < _GRAM_GUARD * col_sq))
+        if suspect.size:
+            h = _deflate(psi[:, selected + suspect.tolist()], step)[:, step:]
+            h_sq[suspect] = np.einsum("ij,ij->j", h, h)
+            h_x[suspect] = h.T @ x
+        active &= h_sq >= eps
         pesr = (1.0 - sum(rerr_seq)) / (1.0 - mu * step / n_pesr) ** 2
         pesr_seq.append(pesr)
         if len(pesr_seq) >= 2 and pesr_seq[-1] > pesr_seq[-2]:
@@ -229,23 +276,20 @@ def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
         raise EmptyModelError("no candidate survived the search")
     q = int(np.argmin(pesr_seq)) + 1
     selected = selected[:q]
-    rerr_arr = np.array(rerr_seq[:q])
-    q_mat = np.column_stack(q_cols[:q])
+    phi = psi[:, selected]
+    h = _deflate(np.column_stack([phi, x]), q)
+    q_mat = h[:, :q]
     # unit upper triangular V with Phi = Q V, built from the original columns
-    v_mat = np.eye(q)
-    q_sq = np.einsum("ij,ij->j", q_mat, q_mat)
-    for zeta in range(q):
-        xi = psi[:, selected[zeta]]
-        for v in range(zeta):
-            v_mat[v, zeta] = (q_mat[:, v] @ xi) / q_sq[v]
+    q_norms = np.einsum("ij,ij->j", q_mat, q_mat)
+    v_mat = np.triu((q_mat.T @ phi) / q_norms[:, None], 1) + np.eye(q)
     result = RofrResult(
         selected_indices=selected,
-        rerr_sequence=rerr_arr,
+        rerr_sequence=np.array(rerr_seq[:q]),
         pesr_trace=np.array(pesr_seq),
         orthogonal_basis=q_mat,
         triangular_factor=v_mat,
         coefficients=np.empty(q),
-        residual=residuals[q],
+        residual=h[:, q],
         regularization=rho,
     )
     result.coefficients = solve_parameters(result, x)
@@ -271,7 +315,8 @@ def recursive_covariance(
     """Exponentially forgetting covariance trace.
 
     Seeds with the sample mean of u1*u2 over the first ``init_window``
-    samples, then applies sigma(t+1) = (1-zeta)*sigma(t) + zeta*u1(t)*u2(t).
+    samples, then applies sigma(t+1) = (1-zeta)*sigma(t) + zeta*u1(t)*u2(t),
+    run as the one-pole filter z / (1 - (1-z) q^-1) over u1*u2.
     """
     if not (0.0 < forgetting < 1.0):
         raise InvalidForgettingError(
@@ -285,12 +330,10 @@ def recursive_covariance(
     if not (1 <= init_window <= n):
         raise ValueError("init_window must lie in [1, len(series)]")
     prod = u1 * u2
-    sigma = np.empty(n)
-    sigma[0] = prod[:init_window].mean()
+    sigma0 = prod[:init_window].mean()
     z = forgetting
-    for t in range(1, n):
-        sigma[t] = (1.0 - z) * sigma[t - 1] + z * prod[t - 1]
-    return sigma
+    tail, _ = lfilter([z], [1.0, z - 1.0], prod[:-1], zi=[(1.0 - z) * sigma0])
+    return np.concatenate(([sigma0], tail))
 
 
 @dataclass

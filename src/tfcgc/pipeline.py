@@ -394,6 +394,28 @@ def trial_images(
     return images, labels, ids, groups
 
 
+def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
+    """Reject trials whose crop count is even, before any imaging.
+
+    A trial's label is the majority vote over its crops, which needs an
+    odd count; the count depends only on the trial length.
+    """
+    for trial in trial_set.trials:
+        count = len(
+            crop_trial(
+                trial.data,
+                trial_set.sampling_rate,
+                config.crop_seconds,
+                config.stride_seconds,
+            )
+        )
+        if count % 2 == 0:
+            raise DataError(
+                f"trial {trial.trial_id}: {count} crops, but majority voting "
+                "needs an odd crop count"
+            )
+
+
 def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     """Execute the full decode and return the run report as a dict.
 
@@ -411,6 +433,7 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     test_set = filtered.subset("test")
     if len(train_set) == 0:
         raise DataError("training split is empty")
+    check_crop_parity(test_set, config)
 
     tr_images, tr_labels, _, _ = trial_images(train_set, config)
     ensemble = boosting.adaboost_train(

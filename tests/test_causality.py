@@ -10,6 +10,7 @@ from tfcgc.causality import (
     LevelUnachievableError,
     NormalizedSystem,
     _pair_values,
+    _raw_spectrum,
     combine_transfer,
     conditional_causality,
     fit_system,
@@ -20,6 +21,7 @@ from tfcgc.causality import (
     spectral_matrices,
     tf_cgc_map,
 )
+from tfcgc import causality
 from tfcgc.identify import RofrConfig
 
 CHEAP = CgcConfig(orders=(3,), scale=2, lags=2, freq_step=0.5, init_window=20)
@@ -444,6 +446,39 @@ class TestSignificance:
         with pytest.raises(LevelUnachievableError):
             significance_test(m, sig, CHEAP, n_surrogates=200, level=1e-6)
 
+    def test_restricted_spectrum_once(self, monkeypatch):
+        # a coupling weak enough that only part of the map is significant
+        rng = np.random.default_rng(12)
+        y, e, z = rng.standard_normal((3, 250))
+        x = np.zeros(250)
+        for t in range(1, 250):
+            x[t] = 0.3 * x[t - 1] + 0.3 * y[t - 1] + e[t]
+        sig = np.vstack([x, y, z])
+        m = tf_cgc_map(sig, 1, 0, [2], 250.0, CHEAP)
+        # oracle: the same surrogate draws, each mapped from scratch
+        draws = np.random.default_rng(3)
+        min_shift = int(np.ceil(0.1 * sig.shape[1]))
+        ensemble = []
+        for _ in range(19):
+            surr = sig.copy()
+            shift = int(draws.integers(min_shift, sig.shape[1] - min_shift + 1))
+            surr[1] = np.roll(surr[1], shift)
+            ensemble.append(tf_cgc_map(surr, 1, 0, [2], 250.0, CHEAP).values)
+        expected = m.values > np.quantile(ensemble, 0.95, axis=0, method="higher")
+        calls = []
+        real = causality.spectral_matrices
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(causality, "spectral_matrices", counting)
+        mask = significance_test(m, sig, CHEAP, n_surrogates=19, level=0.05, seed=3)
+        # one restricted spectrum for the test, one full spectrum per surrogate
+        assert len(calls) == 1 + 19
+        np.testing.assert_array_equal(mask, expected)
+        assert 0 < mask.sum() < mask.size
+
     def test_zero_surrogates_rejected(self):
         rng = np.random.default_rng(11)
         sig = rng.standard_normal((3, 250))
@@ -467,7 +502,8 @@ class TestPairValues:
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
-        pairs = _pair_values(full, [(1, restricted, [0])], fs, freqs, np.arange(n))
+        spectrum = _raw_spectrum(restricted, fs, freqs, np.arange(n))
+        pairs = _pair_values(full, [(1, [0], spectrum, [0])], fs, freqs, np.arange(n))
         with pytest.raises(ConditioningError) as info:
             next(pairs)
         assert (info.value.t, info.value.f) == (3, 2)

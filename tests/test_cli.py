@@ -253,3 +253,27 @@ class TestGridsearchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("temporal_kernel,")
         assert len(lines) > 1
+
+
+class TestRunCommand:
+    def test_even_crop_count_rejected_before_imaging(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_imaging(*args, **kwargs):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        # 4.5 s trials give 6 crops of 2 s at a 0.5 s stride
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "[synth]\ntrials_per_class = 1\ntest_trials_per_class = 1\n"
+            "trial_seconds = 4.5\n",
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        code = main(["run", "--config", cfg, "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: trial test_left_000: 6 crops")
+        assert "Traceback" not in err

@@ -276,6 +276,12 @@ class TestRunPipeline:
         assert "evaluation" not in report
         assert report["n_test_trials"] == 0
 
+    def test_crop_parity(self):
+        config = self.run_config()
+        pipeline.check_crop_parity(tiny_synth(seconds=4.0, split="test"), config)
+        with pytest.raises(DataError, match="trial test_left_000: 6 crops"):
+            pipeline.check_crop_parity(tiny_synth(seconds=4.5, split="test"), config)
+
     def test_empty_train_split_rejected(self):
         data = tiny_synth(trials_per_class=2, split="test")
         with pytest.raises(DataError, match="training split"):
