@@ -6,6 +6,15 @@ the zero-lag Geweke transforms, evaluates spectral coefficient and transfer
 matrices on a time x frequency grid, and decomposes the sink-innovation
 spectrum into an intrinsic part and the causal remainder.  Significance is
 assessed with circular-shift surrogates of the source channel.
+
+Every map comes from one kernel, ``_pair_values``, that applies neither
+normalization explicitly (Geweke 1984; Chen, Bressler & Ding 2006): with
+w = v Abar^-1 (v the restricted sink row, Abar the full fit's raw
+spectrum) and Sigma the full fit's residual covariance, the sink spectrum
+is w Sigma w^H, its intrinsic part |w Sigma[:, k]|^2 / Sigma_kk, and the
+causal rest w Sigma_{.|k} w^H, with Sigma_{.|k} the covariance given the
+sink k.  ``normalize_*``, ``combine_transfer`` and ``conditional_causality``
+spell the same values out the long way.
 """
 
 from __future__ import annotations
@@ -168,13 +177,14 @@ def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
     return _apply_zero_lag(system, c, "restricted")
 
 
-def _full_transform(cov: np.ndarray) -> np.ndarray:
-    """D(t) = D2(t) D1(t) from the (N, n, n) residual covariance traces.
+def normalize_full(system: FittedSystem) -> NormalizedSystem:
+    """Zero-lag transform D(t) = D2(t) D1(t) for the sink/source/Z system.
 
     D1 removes residual correlation of Y and the Z block with X; D2 removes
     the remaining Z-block correlation with Y via the conditional covariance.
     Within-Z-block correlation may remain.
     """
+    cov = system.residual_covariance
     n, n_vars, _ = cov.shape
     sigma_xx = cov[:, 0, 0]
     if np.any(sigma_xx <= 0):
@@ -192,14 +202,7 @@ def _full_transform(cov: np.ndarray) -> np.ndarray:
     szy = cov[:, 2:, 1] - cov[:, 2:, 0] * (cov[:, 0, 1] / sigma_xx)[:, None]
     d2 = np.tile(np.eye(n_vars), (n, 1, 1))
     d2[:, 2:, 1] = -szy / syy[:, None]
-    return np.einsum("tij,tjk->tik", d2, d1)
-
-
-def normalize_full(system: FittedSystem) -> NormalizedSystem:
-    """Zero-lag transform D(t) = D2(t) D1(t) for the sink/source/Z system."""
-    return _apply_zero_lag(
-        system, _full_transform(system.residual_covariance), "full"
-    )
+    return _apply_zero_lag(system, np.einsum("tij,tjk->tik", d2, d1), "full")
 
 
 def spectral_matrices(
@@ -221,23 +224,31 @@ def spectral_matrices(
     if time_indices is not None:
         zero_lag = zero_lag[time_indices]
         lag = lag[time_indices]
-    k_ax = np.arange(1, lag.shape[1] + 1)
-    phase = np.exp(-2j * np.pi * np.outer(k_ax, freqs) / sampling_rate)  # (K, F)
-    out = np.einsum("tkij,kf->tfij", lag.astype(complex), -phase)
-    out += zero_lag[:, None, :, :]
+    n_times, n_lags, n_vars, _ = lag.shape
+    angle = 2 * np.pi * np.outer(freqs, np.arange(1, n_lags + 1)) / sampling_rate
+    # -a_k e^{-i angle} = -a_k cos(angle) + i a_k sin(angle): two real
+    # (F, K) @ (K, n*n) products per time, so each time's values are the
+    # same whatever the other times of the call
+    lag = lag.reshape(n_times, n_lags, n_vars * n_vars)
+    shape = (n_times, freqs.size, n_vars, n_vars)
+    out = np.empty(shape, dtype=complex)
+    out.real = zero_lag[:, None, :, :] - (np.cos(angle) @ lag).reshape(shape)
+    out.imag = (np.sin(angle) @ lag).reshape(shape)
     return out
 
 
-def _batched_inverse(mats: np.ndarray, what: str) -> np.ndarray:
+def _batched_inverse(mats: np.ndarray, what: str, t0: int = 0) -> np.ndarray:
+    """Inverse of each (t, f) matrix; ``t0`` is the grid time of ``mats[0]``."""
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular {what} matrix on the grid") from exc
     resid = mats @ inv
-    resid -= np.eye(mats.shape[-1])  # in place: the grid is the crop's largest array
+    resid -= np.eye(mats.shape[-1])
     resid = np.abs(resid).max(axis=(-2, -1))
     if not np.all(np.isfinite(inv)) or resid.max() > 1e-8:
         t, f = np.unravel_index(int(np.nanargmax(resid)), resid.shape)
+        t += t0
         raise ConditioningError(
             f"ill-conditioned {what} matrix at grid point (t={t}, f={f})", t=t, f=f
         )
@@ -270,11 +281,7 @@ def conditional_causality(
     innovation spectrum splits into intrinsic, source, and conditioning
     parts; the value is the log ratio of total to intrinsic, clamped at 0.
     """
-    return _causality_from_row(r_mat[:, :, 0, :], noise_cov)
-
-
-def _causality_from_row(row: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
-    """Same decomposition given only the sink row of the combined matrix."""
+    row = r_mat[:, :, 0, :]
     sxx = noise_cov[:, 0, 0]
     if np.any(sxx <= 0):
         raise DegenerateSpectrumError("sink noise variance <= 0")
@@ -315,62 +322,120 @@ class CgcMap:
 
 
 def _raw_spectrum(
-    system: FittedSystem,
+    lag_matrices: np.ndarray,
     sampling_rate: float,
     freqs: np.ndarray,
     time_indices: np.ndarray,
 ) -> np.ndarray:
-    """Abar(t, f) = I - sum_k a_k(t) exp(-i 2 pi f k / f_s) of a fitted system."""
-    n, _, n_vars, _ = system.lag_matrices.shape
+    """Abar(t, f) = I - sum_k a_k(t) exp(-i 2 pi f k / f_s) of a fitted
+    system's (N, K, n, n) raw lag matrices."""
+    n, _, n_vars, _ = lag_matrices.shape
     raw = NormalizedSystem(
-        "raw",
-        np.broadcast_to(np.eye(n_vars), (n, n_vars, n_vars)),
-        system.lag_matrices,
-        system.residual_covariance,
+        "raw", np.broadcast_to(np.eye(n_vars), (n, n_vars, n_vars)), lag_matrices, None
     )
     return spectral_matrices(raw, sampling_rate, freqs, time_indices)
 
 
+# grid times per `_pair_values` call in `pairwise_maps`.  At 10 a
+# full-scale crop's largest block array, w (times, F, 20 pairs, 5) complex,
+# is 1.4 MB; on a core with a 2 MB L2, blocks of 25 or more times made the
+# pair evaluation about 1.6x slower.
+_TIME_BLOCK = 10
+
+
+def _first_sample(bad: np.ndarray, time_indices: np.ndarray) -> int:
+    """1-based sample of the first grid time at which ``bad`` holds."""
+    return int(time_indices[np.nonzero(bad)[0][0]]) + 1
+
+
 def _pair_values(
     full: FittedSystem,
-    restricted_spectra,
+    restricted,
     sampling_rate: float,
     freqs: np.ndarray,
     time_indices: np.ndarray,
-):
+    t0: int = 0,
+) -> np.ndarray:
     """Causality values of the directed pairs that share one full fit.
 
-    ``restricted_spectra`` yields ``(source, channels, spectrum, sinks)``
-    where ``channels`` are the full fit's channels without ``source`` and
-    ``spectrum`` is the raw spectrum of the system fitted on them
-    (``_raw_spectrum``), so a caller that reuses one restricted fit
-    evaluates it once.  In the pair order ``[sink, source] + conditioning``
-    (permutation P) the full system's normalized spectrum is
-    B = D(t) P Abar P^T, and the restricted zero-lag transform has a unit
-    first row.  The sink row of R = Ghat^-1 H is therefore
-    v Abar^-1 P^T D(t)^-1, with v the sink row of the raw restricted
-    spectrum placed in the full fit's channel order and 0 at the source.
-    Abar is inverted once; each restricted spectrum serves all its sinks.
+    ``restricted`` lists ``(source, sinks, rows)``: ``rows[:, :, i]`` is
+    the row of ``sinks[i]`` in the raw spectrum (``_raw_spectrum``) at
+    ``time_indices`` of the system fitted on the full fit's channels
+    without ``source``, in the full fit's order, so a caller that reuses
+    one restricted fit evaluates it once.  ``t0`` is the grid time of
+    ``time_indices[0]``, so errors name the cell of the whole grid.
+    Returns (pairs, T, F) values, pairs in the order of ``restricted``
+    and of each item's ``sinks``.
 
-    Yields ``(source, sink, conditioning, values)``.
+    In the pair order [sink k, source j] + conditioning the normalized
+    full spectrum is B = D(t) P Abar P^T, and the restricted zero-lag
+    transform has a unit first row.  The sink row of R = Ghat^-1 H is
+    therefore r = w P^T D(t)^-1 with w = v Abar^-1, where v is the sink
+    row of the raw restricted spectrum in the full fit's channel order,
+    0 at j.  D(t) has a unit first row and D Sigma D^T is block-diagonal
+    over {k}, {j} and the conditioning block (Sigma: the full fit's
+    residual covariance), so the sink spectrum splits without D:
+
+    - total = r D Sigma D^T r^H = w Sigma w^H;
+    - intrinsic = |r_0|^2 Sigma_kk = |w Sigma[:, k]|^2 / Sigma_kk;
+    - total - intrinsic = q = w Sigma_{.|k} w^H, where
+      Sigma_{.|k} = Sigma - Sigma[:, k] Sigma[k, :] / Sigma_kk is the PSD
+      covariance given the sink: q >= 0 up to rounding;
+    - value = log(total / intrinsic) = log1p(q / intrinsic).
+
+    Abar is inverted once for all pairs; one batched product gives every
+    pair's w, and a second both w Sigma[:, k] and w Sigma_{.|k}.
     """
     a_inv = _batched_inverse(
-        _raw_spectrum(full, sampling_rate, freqs, time_indices), "coefficient"
+        _raw_spectrum(full.lag_matrices, sampling_rate, freqs, time_indices),
+        "coefficient",
+        t0,
     )
     slot = {c: i for i, c in enumerate(full.channel_indices)}
-    for source, channels, spectrum, sinks in restricted_spectra:
-        kept = [slot[c] for c in channels]
-        for sink in sinks:
-            conditioning = [c for c in channels if c != sink]
-            order = np.array([slot[c] for c in [sink, source] + conditioning])
-            v = np.zeros(a_inv.shape[:-1], dtype=complex)
-            v[..., kept] = spectrum[:, :, channels.index(sink)]
-            row = (v[..., None, :] @ a_inv)[..., 0, order]
-            cov = full.residual_covariance[:, order[:, None], order]
-            d = _full_transform(cov)[time_indices]
-            row = (row[..., None, :] @ np.linalg.inv(d)[:, None])[..., 0, :]
-            noise = d @ cov[time_indices] @ np.swapaxes(d, -1, -2)
-            yield source, sink, conditioning, _causality_from_row(row, noise)
+    pairs = [(source, sink) for source, sinks, _ in restricted for sink in sinks]
+    v = np.empty(a_inv.shape[:2] + (len(pairs), len(slot)), dtype=complex)
+    p = 0
+    for source, sinks, rows in restricted:
+        at = slot[source]
+        v_item = v[:, :, p : p + len(sinks)]
+        v_item[..., :at] = rows[..., :at]
+        v_item[..., at] = 0.0
+        v_item[..., at + 1 :] = rows[..., at:]
+        p += len(sinks)
+    w = v @ a_inv  # (T, F, pairs, n)
+    cov = full.residual_covariance[time_indices]
+    each = np.arange(len(pairs))
+    k = np.array([slot[sink] for _, sink in pairs])
+    j = np.array([slot[source] for source, _ in pairs])
+    sigma_k = cov[:, k]  # (T, pairs, n): Sigma[k, :] of each pair's sink
+    s_kk = sigma_k[:, each, k]
+    if np.any(s_kk <= 0):
+        raise DegenerateVarianceError(
+            f"sink residual variance <= 0 at t={_first_sample(s_kk <= 0, time_indices)}"
+        )
+    # Sigma_{.|k} per pair, its sink row and column exactly 0, so a pair
+    # whose w lies on the sink alone gives q = 0 exactly
+    outer = sigma_k[..., :, None] * sigma_k[..., None, :]
+    cond = cov[:, None] - outer / s_kk[..., None, None]
+    cond[:, each, k, :] = 0.0
+    cond[:, each, :, k] = 0.0
+    s_jj = cond[:, each, j, j]
+    if np.any(s_jj <= 0):
+        raise DegenerateVarianceError(
+            "conditional source residual variance <= 0 at "
+            f"t={_first_sample(s_jj <= 0, time_indices)}"
+        )
+    # one product per (t, pair) gives w Sigma[:, k] and w Sigma_{.|k}
+    w = np.swapaxes(w, 1, 2)  # (T, pairs, F, n)
+    z = w @ np.concatenate([sigma_k[..., None], cond], axis=-1)
+    intrinsic = (z[..., 0].real ** 2 + z[..., 0].imag ** 2) / s_kk[..., None]
+    if np.any(intrinsic <= 0):
+        raise DegenerateSpectrumError("intrinsic spectrum term <= 0 on the grid")
+    # q = Re(w Sigma_{.|k} w^H), a real dot product over (re, im) parts
+    q = np.einsum("...i,...i->...", z[..., 1:].view(float), w.view(float))
+    if np.any(q < -1e-12 * (intrinsic + q)):
+        raise DegenerateSpectrumError("causal spectrum term < 0 beyond rounding")
+    return np.swapaxes(np.log1p(np.maximum(q, 0.0) / intrinsic), 0, 1)
 
 
 def pairwise_maps(
@@ -381,10 +446,11 @@ def pairwise_maps(
 ) -> dict[tuple[int, int], CgcMap]:
     """All ordered-pair maps among ``channels``, conditioning on the rest.
 
-    Fits one full system over all channels and, source by source, one
-    restricted system without that source.  Every directed pair comes from
-    the one inverse of the full fit's spectrum, so n channels cost
-    n + n*(n-1) equation fits instead of refitting per pair.
+    Fits one full system over all channels and, per source, one
+    restricted system without that source, so n channels cost
+    n + n*(n-1) equation fits instead of refitting per pair.  All directed
+    pairs are then evaluated together, ``_TIME_BLOCK`` grid times at a
+    time.
     """
     config = config or CgcConfig()
     channels = list(channels)
@@ -393,28 +459,33 @@ def pairwise_maps(
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
     full = fit_system(signals, channels, config)
-
-    def restricted_spectra():
-        for src in channels:
-            rest = [c for c in channels if c != src]
-            restricted = fit_system(signals, rest, config)
-            spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
-            yield src, rest, spectrum, rest
-
-    maps: dict[tuple[int, int], CgcMap] = {}
-    for source, sink, conditioning, values in _pair_values(
-        full, restricted_spectra(), sampling_rate, freqs, time_indices
-    ):
-        maps[(source, sink)] = CgcMap(
+    restricted = []  # only the lag matrices: a whole fit holds ROFR state too
+    for src in channels:
+        rest = [c for c in channels if c != src]
+        restricted.append((src, rest, fit_system(signals, rest, config).lag_matrices))
+    pairs = [(src, sink) for src, rest, _ in restricted for sink in rest]
+    values = np.empty((len(pairs), time_axis.size, freqs.size))
+    for t0 in range(0, time_axis.size, _TIME_BLOCK):
+        block = time_indices[t0 : t0 + _TIME_BLOCK]
+        spectra = [
+            (src, rest, _raw_spectrum(lags, sampling_rate, freqs, block))
+            for src, rest, lags in restricted
+        ]
+        values[:, t0 : t0 + _TIME_BLOCK] = _pair_values(
+            full, spectra, sampling_rate, freqs, block, t0
+        )
+    return {
+        (source, sink): CgcMap(
             source=source,
             sink=sink,
-            conditioning=conditioning,
+            conditioning=[c for c in channels if c not in (source, sink)],
             time_axis=time_axis,
             freq_axis=freqs,
-            values=values,
+            values=pair_values,
             sampling_rate=sampling_rate,
         )
-    return maps
+        for (source, sink), pair_values in zip(pairs, values)
+    }
 
 
 def tf_cgc_map(
@@ -439,13 +510,11 @@ def tf_cgc_map(
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
     kept = [sink] + conditioning
-    restricted = fit_system(signals, kept, config)
-    spectrum = _raw_spectrum(restricted, sampling_rate, freqs, time_indices)
+    lags = fit_system(signals, kept, config).lag_matrices
+    spectrum = _raw_spectrum(lags, sampling_rate, freqs, time_indices)
     full = fit_system(signals, [sink, source] + conditioning, config)
-    *_, values = next(
-        _pair_values(
-            full, [(source, kept, spectrum, [sink])], sampling_rate, freqs, time_indices
-        )
+    values = _pair_values(
+        full, [(source, [sink], spectrum[:, :, :1])], sampling_rate, freqs, time_indices
     )
     return CgcMap(
         source=source,
@@ -453,7 +522,7 @@ def tf_cgc_map(
         conditioning=conditioning,
         time_axis=time_axis,
         freq_axis=freqs,
-        values=values,
+        values=values[0],
         sampling_rate=sampling_rate,
     )
 
@@ -493,17 +562,16 @@ def significance_test(
     # the restricted system excludes the source, so no shift changes it:
     # one fit and one spectrum serve every surrogate
     kept = [sink] + conditioning
-    spectrum = _raw_spectrum(fit_system(signals, kept, config), fs, freqs, time_indices)
-    restricted = [(source, kept, spectrum, [sink])]
+    lags = fit_system(signals, kept, config).lag_matrices
+    rows = _raw_spectrum(lags, fs, freqs, time_indices)[:, :, :1]
+    restricted = [(source, [sink], rows)]
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):
         shift = int(rng.integers(min_shift, n - min_shift + 1))
         surr = signals.copy()
         surr[source] = np.roll(surr[source], shift)
         full = fit_system(surr, [sink, source] + conditioning, config)
-        *_, ensemble[s] = next(
-            _pair_values(full, restricted, fs, freqs, time_indices)
-        )
+        ensemble[s] = _pair_values(full, restricted, fs, freqs, time_indices)[0]
     threshold = np.quantile(ensemble, 1.0 - level, axis=0, method="higher")
     mask = cgc_map.values > threshold
     cgc_map.significance_mask = mask

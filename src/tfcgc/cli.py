@@ -25,7 +25,7 @@ from .causality import (
     tf_cgc_map,
 )
 from .identify import EmptyModelError
-from .images import CausalityImage, export_image
+from .images import CausalityImage, InvalidCropError, export_image
 
 log = logging.getLogger("tfcgc")
 
@@ -411,6 +411,11 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: BaseException) -> str:
+    """The error text after the notes that locate it (trial and crop)."""
+    return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
+
+
 def main(argv=None) -> int:
     parser = _make_parser()
     try:
@@ -424,13 +429,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, pipeline.InstabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
-    except (pipeline.DataError, gridio.FormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (pipeline.DataError, InvalidCropError, gridio.FormatError, OSError) as exc:
+        print(f"data error: {_message(exc)}", file=sys.stderr)
         return EXIT_DATA
     except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {_message(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

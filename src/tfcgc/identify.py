@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import lfilter
 
-from .bsplines import BSplineSpec, MultiwaveletDictionary, basis_eval, build_dictionary
+from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
 
 __all__ = [
     "RofrConfig",
@@ -361,19 +361,21 @@ def reconstruct_coefficients(model: TvarxModel) -> dict:
     """Rebuild the time-varying coefficient series a_{v,k}(t), t = 1..N.
 
     Keys are (channel index, lag); channels map through the model's
-    variable-slot order.
+    variable-slot order.  Candidate i's basis is column
+    ``i % bases_per_term`` of the basis sampled at t = 1..N.
     """
     n = model.n_samples
-    u = np.arange(1, n + 1) / n
+    dictionary = model.dictionary
+    basis = _sampled_basis(dictionary.orders, dictionary.scale, 1, n)
     series: dict[tuple[int, int], np.ndarray] = {}
-    for (slot, lag, spec), coeff in zip(
-        model.selected_terms, model.expansion_coefficients
+    for (slot, lag, _), index, coeff in zip(
+        model.selected_terms, model.rofr.selected_indices, model.expansion_coefficients
     ):
         chan = model.variables[slot]
         key = (chan, lag)
         if key not in series:
             series[key] = np.zeros(n)
-        series[key] += coeff * basis_eval(spec, u)
+        series[key] += coeff * basis[:, index % dictionary.bases_per_term]
     return series
 
 

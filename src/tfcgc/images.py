@@ -120,13 +120,18 @@ def crop_trial(
     length_f = sampling_rate * crop_seconds
     stride_f = sampling_rate * stride_seconds
     if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
-        raise InvalidCropError("crop and stride must span whole samples")
+        raise InvalidCropError(
+            f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
+            f"span whole samples at {sampling_rate:g} Hz"
+        )
     length = int(round(length_f))
     stride = int(round(stride_f))
     if length <= 0 or stride <= 0:
         raise InvalidCropError("crop and stride must be positive")
     if length > n:
-        raise InvalidCropError(f"crop of {length} samples exceeds trial of {n}")
+        raise InvalidCropError(
+            f"trial {trial_id}: crop of {length} samples exceeds trial of {n}"
+        )
     crops = []
     start = 1
     while start + length - 1 <= n:

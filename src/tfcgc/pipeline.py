@@ -339,15 +339,23 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
 
 
 def _crop_image_unit(args):
-    """One (trial crop -> causality image) unit; pure and picklable."""
-    crop_data, electrodes, fs, cgc_config = args
-    indices = list(range(len(electrodes)))
-    maps = pairwise_maps(crop_data, indices, fs, cgc_config)
-    named = {
-        (electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()
-    }
-    reps = {e: electrode_representation(named, e) for e in electrodes}
-    return assemble_image(reps, electrodes).values
+    """One (trial crop -> causality image) unit; pure and picklable.
+
+    An exception keeps its type (and so its exit code) and gains a note
+    naming the crop: ``trial <id>, crop at sample <start>``.
+    """
+    crop_data, electrodes, fs, cgc_config, crop_name = args
+    try:
+        maps = pairwise_maps(crop_data, range(len(electrodes)), fs, cgc_config)
+        named = {
+            (electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()
+        }
+        reps = {e: electrode_representation(named, e) for e in electrodes}
+        return assemble_image(reps, electrodes).values
+    except Exception as exc:
+        # Set directly rather than with add_note, which needs Python 3.11.
+        exc.__notes__ = [*getattr(exc, "__notes__", []), crop_name]
+        raise
 
 
 def trial_images(
@@ -378,7 +386,8 @@ def trial_images(
             trial.label,
         )
         for crop in crops:
-            units.append((crop.extract(trial.data)[sel], electrodes, fs, cgc))
+            name = f"trial {trial.trial_id}, crop at sample {crop.start_sample}"
+            units.append((crop.extract(trial.data)[sel], electrodes, fs, cgc, name))
             owners.append(i)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -407,6 +416,7 @@ def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
                 trial_set.sampling_rate,
                 config.crop_seconds,
                 config.stride_seconds,
+                trial.trial_id,
             )
         )
         if count % 2 == 0:

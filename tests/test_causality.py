@@ -4,6 +4,7 @@ import pytest
 from tfcgc.causality import (
     CgcConfig,
     ConditioningError,
+    DegenerateSpectrumError,
     DegenerateVarianceError,
     InvalidConfigurationError,
     InvalidRangeError,
@@ -21,7 +22,7 @@ from tfcgc.causality import (
     spectral_matrices,
     tf_cgc_map,
 )
-from tfcgc import causality
+from tfcgc import causality, pipeline
 from tfcgc.identify import RofrConfig
 
 CHEAP = CgcConfig(orders=(3,), scale=2, lags=2, freq_step=0.5, init_window=20)
@@ -502,8 +503,124 @@ class TestPairValues:
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
-        spectrum = _raw_spectrum(restricted, fs, freqs, np.arange(n))
-        pairs = _pair_values(full, [(1, [0], spectrum, [0])], fs, freqs, np.arange(n))
+        spectrum = _raw_spectrum(restricted.lag_matrices, fs, freqs, np.arange(n))
         with pytest.raises(ConditioningError) as info:
-            next(pairs)
+            _pair_values(full, [(1, [0], spectrum)], fs, freqs, np.arange(n))
         assert (info.value.t, info.value.f) == (3, 2)
+
+    def test_degenerate_conditional_source_variance(self):
+        # source residual fully explained by the sink's: Sigma_jj|k = 0
+        n = 4
+        full = make_fitted_stub(np.tile(np.ones((2, 2)), (n, 1, 1)))
+        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        freqs = np.array([8.0, 10.0])
+        spectrum = _raw_spectrum(restricted.lag_matrices, 250.0, freqs, np.arange(n))
+        with pytest.raises(DegenerateVarianceError, match="conditional source"):
+            _pair_values(full, [(1, [0], spectrum)], 250.0, freqs, np.arange(n))
+
+    def test_indefinite_covariance_rejected(self):
+        # Sigma given the sink is indefinite over the conditioning pair, so
+        # q = w Sigma_{.|k} w^H < 0 for a sink row weighing both with
+        # opposite signs
+        n = 3
+        cov = np.tile(np.eye(4), (n, 1, 1))
+        cov[:, 2, 3] = cov[:, 3, 2] = 2.0
+        full = make_fitted_stub(cov)
+        lag = np.zeros((n, 1, 3, 3))
+        lag[:, 0, 0, 1] = 0.5
+        lag[:, 0, 0, 2] = -0.5
+        restricted = make_fitted_stub(np.tile(np.eye(3), (n, 1, 1)), lag)
+        freqs = np.array([8.0, 10.0])
+        spectrum = _raw_spectrum(restricted.lag_matrices, 250.0, freqs, np.arange(n))
+        with pytest.raises(DegenerateSpectrumError):
+            _pair_values(
+                full, [(1, [0], spectrum[:, :, :1])], 250.0, freqs, np.arange(n)
+            )
+
+
+def explicit_pair_oracle(full, restricted, source, sink, fs, freqs, times):
+    """One pair the long way: both Geweke normalizations, both spectral
+    inverses, the embedded restricted inverse and the full decomposition,
+    on fits permuted into the pair's own channel order."""
+    conditioning = [c for c in restricted.channel_indices if c != sink]
+
+    def permuted(system, channels):
+        order = np.array([system.channel_indices.index(c) for c in channels])
+        return causality.FittedSystem(
+            channels,
+            [],
+            system.lag_matrices[:, :, order[:, None], order],
+            system.residual_covariance[:, order[:, None], order],
+            system.n_samples,
+            system.start_sample,
+        )
+
+    norm_r = normalize_restricted(permuted(restricted, [sink] + conditioning))
+    norm_f = normalize_full(permuted(full, [sink, source] + conditioning))
+    g = np.linalg.inv(spectral_matrices(norm_r, fs, freqs, times))
+    h = np.linalg.inv(spectral_matrices(norm_f, fs, freqs, times))
+    return conditional_causality(
+        combine_transfer(g, h), norm_f.noise_covariance[times]
+    )
+
+
+class TestBatchedPairs:
+    def test_fullscale_crop_matches_explicit_path(self):
+        spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
+        trials = pipeline.bandpass(pipeline.synth_generate(spec, seed=3), 6.0, 15.0)
+        sig = trials.trials[0].data[:5]
+        cfg = CgcConfig()
+        freqs = cfg.freq_grid(250.0)
+        maps = pairwise_maps(sig, range(5), 250.0, cfg)
+        assert len(maps) == 20
+        # fits are deterministic: refitting gives the systems the maps used
+        full = fit_system(sig, range(5), cfg)
+        times = np.arange(0, 500, 7)
+        for source in range(5):
+            restricted = fit_system(
+                sig, [c for c in range(5) if c != source], cfg
+            )
+            for sink in restricted.channel_indices:
+                expected = explicit_pair_oracle(
+                    full, restricted, source, sink, 250.0, freqs, times
+                )
+                got = maps[(source, sink)].values[times]
+                # where no selected term carries the source to the sink the
+                # explicit map is exactly 0 (log(total / intrinsic) rounds
+                # q ~ 1e-28 away; log1p keeps it), so such a map is held to
+                # 1e-15 absolute
+                scale = max(np.abs(expected).max(), 1e-6)
+                assert np.abs(got - expected).max() <= 1e-9 * scale
+
+    def test_partial_last_block(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        sig = rng.standard_normal((4, 155))
+        assert 155 % causality._TIME_BLOCK != 0
+        blocked = pairwise_maps(sig, range(4), 250.0, CHEAP)
+        monkeypatch.setattr(causality, "_TIME_BLOCK", 10**6)
+        whole = pairwise_maps(sig, range(4), 250.0, CHEAP)
+        assert blocked.keys() == whole.keys()
+        for pair in whole:
+            np.testing.assert_array_equal(blocked[pair].values, whole[pair].values)
+
+    def test_singular_cell_in_later_block(self, monkeypatch):
+        # the rotation of TestPairValues, at a time in the third block
+        fs = 250.0
+        theta = 2 * np.pi * 10.0 / fs
+        rot = np.array(
+            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        )
+        block = causality._TIME_BLOCK
+        n, t_bad = 3 * block, 2 * block + 3
+        lag = np.zeros((n, 1, 2, 2))
+        lag[t_bad, 0] = rot
+        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
+        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        def fake_fit(signals, channels, config):
+            return full if len(channels) == 2 else restricted
+
+        monkeypatch.setattr(causality, "fit_system", fake_fit)
+        cfg = CgcConfig(freq_step=2.0)  # 6, 8, 10, 12 Hz
+        with pytest.raises(ConditioningError) as info:
+            pairwise_maps(np.zeros((2, n)), [0, 1], fs, cfg)
+        assert (info.value.t, info.value.f) == (t_bad, 2)

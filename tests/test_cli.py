@@ -277,3 +277,58 @@ class TestRunCommand:
         assert code == EXIT_DATA
         assert err.startswith("data error: trial test_left_000: 6 crops")
         assert "Traceback" not in err
+
+    def test_trial_shorter_than_crop_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "[synth]\ntrials_per_class = 1\ntest_trials_per_class = 1\n"
+            "trial_seconds = 1.5\n",
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        code = main(["run", "--config", cfg, "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(
+            "data error: trial test_left_000: crop of 500 samples exceeds trial of 375"
+        )
+        assert "Traceback" not in err
+
+    def test_fractional_crop_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "[synth]\ntrials_per_class = 1\ntest_trials_per_class = 1\n"
+            "[data]\ncrop_seconds = 2.001\n",
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        code = main(["run", "--config", cfg, "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: crop (2.001 s) and stride (0.5 s) must span")
+        assert "Traceback" not in err
+
+    def test_worker_failure_names_trial_and_crop(self, tmp_path, capsys):
+        ts = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=0
+        )
+        c3 = ts.channel_names.index("C3")
+        for trial in ts.trials:
+            trial.data[c3] = 0.0
+        manifest = pipeline.save_trials(ts, tmp_path / "data")
+        code = main(
+            [
+                "run",
+                "--config", write_cfg(tmp_path, CHEAP_CFG),
+                "--manifest", manifest,
+                "--threads", "2",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith(
+            "numeric failure: trial train_left_000, crop at sample 1: "
+        )
+        assert "Traceback" not in err

@@ -483,6 +483,35 @@ class TestFitTvarx:
         for key in direct:
             np.testing.assert_allclose(rebuilt[key], direct[key], atol=1e-12)
 
+    def test_reconstruction_matches_per_term_basis(self):
+        # the sampled basis columns equal basis_eval and the sums run in
+        # term order, so the series are bit-identical to the per-term oracle
+        d = build_dictionary({3, 4, 5}, 3, [3, 3, 3])
+        n = 500
+        u = np.arange(1, n + 1) / n
+        rng = np.random.default_rng(17)
+        sig = rng.standard_normal((3, n))
+        for t in range(2, n):
+            sig[0, t] = (
+                0.5 * sig[0, t - 1]
+                - 0.3 * sig[0, t - 2]
+                + 2.0 * np.sin(2 * np.pi * u[t]) * sig[1, t - 1]
+                + 0.1 * sig[0, t]
+            )
+        model = fit_tvarx(sig, 0, [1, 2], d)
+        assert model.rofr.term_count > 5
+        oracle = {}
+        for (slot, lag, spec), c in zip(
+            model.selected_terms, model.expansion_coefficients
+        ):
+            key = (model.variables[slot], lag)
+            oracle.setdefault(key, np.zeros(n))
+            oracle[key] += c * basis_eval(spec, u)
+        rebuilt = reconstruct_coefficients(model)
+        assert rebuilt.keys() == oracle.keys()
+        for key in oracle:
+            np.testing.assert_array_equal(rebuilt[key], oracle[key])
+
     def test_pure_ar_with_no_predictors_is_legal(self):
         rng = np.random.default_rng(15)
         d = build_dictionary({3}, 2, [2])
