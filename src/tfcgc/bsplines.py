@@ -10,6 +10,7 @@ dictionary pairs every (variable, lag) with every basis function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,9 +139,20 @@ class MultiwaveletDictionary:
 
 
 def build_dictionary(orders, scale: int, lags_per_variable) -> MultiwaveletDictionary:
-    """Enumerate all (variable, lag, order, shift) candidates."""
-    orders = tuple(sorted(set(int(s) for s in orders)))
-    lags = tuple(int(k) for k in lags_per_variable)
+    """Enumerate all (variable, lag, order, shift) candidates.
+
+    The dictionary is frozen, so one instance per normalized (orders,
+    scale, lags) serves every caller.
+    """
+    return _dictionary(
+        tuple(sorted(set(int(s) for s in orders))),
+        int(scale),
+        tuple(int(k) for k in lags_per_variable),
+    )
+
+
+@lru_cache(maxsize=32)
+def _dictionary(orders, scale: int, lags) -> MultiwaveletDictionary:
     if not orders:
         raise InvalidSpecError("orders must be non-empty")
     if not lags:

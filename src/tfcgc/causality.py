@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import build_dictionary
-from .identify import RofrConfig, TvarxModel, fit_tvarx, recursive_covariance
+from .identify import RofrConfig, TvarxModel, fit_equations, recursive_covariance
 
 __all__ = [
     "CgcConfig",
@@ -32,6 +32,7 @@ __all__ = [
     "FittedSystem",
     "NormalizedSystem",
     "fit_system",
+    "fit_systems",
     "normalize_restricted",
     "normalize_full",
     "spectral_matrices",
@@ -128,20 +129,36 @@ def fit_system(
     signals: np.ndarray, channel_indices, config: CgcConfig
 ) -> FittedSystem:
     """Fit every equation of the system spanned by ``channel_indices``."""
-    channel_indices = list(channel_indices)
+    return fit_systems(signals, [channel_indices], config)[0]
+
+
+def fit_systems(signals: np.ndarray, systems, config: CgcConfig) -> list[FittedSystem]:
+    """Fit several systems on one series: all their equations (one per
+    channel of each system) run as one ROFR search over shared columns."""
+    systems = [list(channels) for channels in systems]
+    equations = []
+    for channels in systems:
+        dictionary = build_dictionary(
+            config.orders, config.scale, [config.lags] * len(channels)
+        )
+        equations += [
+            (chan, [c for c in channels if c != chan], dictionary) for chan in channels
+        ]
+    models = iter(fit_equations(signals, equations, config.rofr))
+    return [
+        _assemble_system(channels, [next(models) for _ in channels], config)
+        for channels in systems
+    ]
+
+
+def _assemble_system(channel_indices, models, config: CgcConfig) -> FittedSystem:
+    """Raw lag matrices and recursive residual covariances of fitted equations."""
     n_vars = len(channel_indices)
-    dictionary = build_dictionary(config.orders, config.scale, [config.lags] * n_vars)
-    n = signals.shape[1]
-    k_max = config.lags
-    models = []
-    lag_mats = np.zeros((n, k_max, n_vars, n_vars))
-    for i, chan in enumerate(channel_indices):
-        others = [c for c in channel_indices if c != chan]
-        model = fit_tvarx(signals, chan, others, dictionary, config.rofr)
-        models.append(model)
+    n = models[0].n_samples
+    lag_mats = np.zeros((n, config.lags, n_vars, n_vars))
+    for i, model in enumerate(models):
         for (c, k), series in model.timevarying_coefficients.items():
-            v = channel_indices.index(c)
-            lag_mats[:, k - 1, i, v] = series
+            lag_mats[:, k - 1, i, channel_indices.index(c)] = series
     start = models[0].start_sample
     usable = slice(start - 1, n)
     cov = np.zeros((n, n_vars, n_vars))
@@ -448,7 +465,8 @@ def pairwise_maps(
 
     Fits one full system over all channels and, per source, one
     restricted system without that source, so n channels cost
-    n + n*(n-1) equation fits instead of refitting per pair.  All directed
+    n + n*(n-1) equation fits instead of refitting per pair, all in one
+    ROFR search (``fit_systems``).  All directed
     pairs are then evaluated together, ``_TIME_BLOCK`` grid times at a
     time.
     """
@@ -458,11 +476,13 @@ def pairwise_maps(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    full = fit_system(signals, channels, config)
-    restricted = []  # only the lag matrices: a whole fit holds ROFR state too
-    for src in channels:
-        rest = [c for c in channels if c != src]
-        restricted.append((src, rest, fit_system(signals, rest, config).lag_matrices))
+    rests = [[c for c in channels if c != src] for src in channels]
+    full, *fits = fit_systems(signals, [channels] + rests, config)
+    # only the lag matrices: a whole fit holds its models too
+    restricted = [
+        (src, rest, fit.lag_matrices) for src, rest, fit in zip(channels, rests, fits)
+    ]
+    del fits
     pairs = [(src, sink) for src, rest, _ in restricted for sink in rest]
     values = np.empty((len(pairs), time_axis.size, freqs.size))
     for t0 in range(0, time_axis.size, _TIME_BLOCK):
@@ -509,10 +529,10 @@ def tf_cgc_map(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    kept = [sink] + conditioning
-    lags = fit_system(signals, kept, config).lag_matrices
-    spectrum = _raw_spectrum(lags, sampling_rate, freqs, time_indices)
-    full = fit_system(signals, [sink, source] + conditioning, config)
+    restricted, full = fit_systems(
+        signals, [[sink] + conditioning, [sink, source] + conditioning], config
+    )
+    spectrum = _raw_spectrum(restricted.lag_matrices, sampling_rate, freqs, time_indices)
     values = _pair_values(
         full, [(source, [sink], spectrum[:, :, :1])], sampling_rate, freqs, time_indices
     )

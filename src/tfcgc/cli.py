@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import boosting, gridio, pipeline
+from . import boosting, convnet, gridio, pipeline
 from .causality import (
     ConditioningError,
     DegenerateSpectrumError,
@@ -274,6 +274,7 @@ def _cmd_train(args) -> int:
     filtered = pipeline.bandpass(trial_set, *config.band).subset("train")
     if len(filtered) == 0:
         raise pipeline.DataError("no training trials in manifest")
+    pipeline.check_architecture(config, filtered.sampling_rate)
     images, labels, _, _ = pipeline.trial_images(filtered, config)
     ensemble = boosting.adaboost_train(
         images,
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, pipeline.InstabilityError) as exc:
+    except (ConfigError, pipeline.InstabilityError, convnet.ArchitectureError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except (pipeline.DataError, InvalidCropError, gridio.FormatError, OSError) as exc:

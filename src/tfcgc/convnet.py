@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ShapeError
+
 
 class ArchitectureError(ValueError):
     """The input is too short for the configured convolution/pool stack."""
@@ -27,10 +29,6 @@ class ArchitectureError(ValueError):
 
 class DegenerateLabelsError(ValueError):
     """A training fold contains fewer than two classes."""
-
-
-class ShapeError(ValueError):
-    """Input dimensions do not match the model."""
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ multiwavelet dictionary, turning the problem into a time-invariant sparse
 regression.  Terms are picked by regularized orthogonal forward regression
 (greedy selection on the regularized error reduction ratio), model size is
 fixed by the penalized error-to-signal ratio, and coefficients come from
-back-substitution on the orthogonal decomposition.
+back-substitution on the search's triangular factor.  The equations of a
+crop share their candidate columns, so they are searched together.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 from scipy.signal import lfilter
 
 from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
+from .errors import ShapeError
 
 __all__ = [
     "RofrConfig",
@@ -28,12 +31,9 @@ __all__ = [
     "solve_parameters",
     "reconstruct_coefficients",
     "recursive_covariance",
+    "fit_equations",
     "fit_tvarx",
 ]
-
-
-class ShapeError(ValueError):
-    pass
 
 
 class InsufficientDataError(ValueError):
@@ -99,10 +99,10 @@ class RofrResult:
     selected_indices: list[int]
     rerr_sequence: np.ndarray
     pesr_trace: np.ndarray
-    orthogonal_basis: np.ndarray  # Q, (usable samples, q)
-    triangular_factor: np.ndarray  # V, unit upper triangular (q, q)
+    triangular_factor: np.ndarray  # V, unit upper triangular (q, q): Phi = Q V
+    orthogonal_norms: np.ndarray  # ||q_s||^2, (q,)
     coefficients: np.ndarray  # Pi, (q,)
-    residual: np.ndarray  # r_q
+    residual: np.ndarray  # X - Phi Pi
     regularization: float  # rho actually used
 
     @property
@@ -123,35 +123,51 @@ def expand_regressors(
     Column (v, k, basis) at 1-based time t holds
     ``signal_v(t - k) * basis(t / N)``.
     """
+    signals, start = _usable(signals, [dictionary])
+    variables = _variables(target_index, predictor_indices, dictionary)
+    blocks = [
+        (v, k)
+        for v, max_lag_v in zip(variables, dictionary.lags_per_variable)
+        for k in range(1, max_lag_v + 1)
+    ]
+    psi = _design(signals, blocks, dictionary, start)
+    if psi.shape[1] != dictionary.candidate_count:
+        raise ShapeError("candidate count mismatch while expanding regressors")
+    target = signals[target_index, start - 1 :]
+    return RegressionProblem(psi, target, dictionary, start, signals.shape[1])
+
+
+def _usable(signals, dictionaries) -> tuple[np.ndarray, int]:
+    """``signals`` as a float (channels, N) array, and the first 1-based
+    time every dictionary's lags leave usable."""
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
         raise ShapeError("signals must be a (channels, samples) array")
-    predictor_indices = list(predictor_indices)
-    variables = [target_index] + predictor_indices
-    if len(variables) != len(dictionary.lags_per_variable):
-        raise ShapeError(
-            f"dictionary declares {len(dictionary.lags_per_variable)} variables, "
-            f"got target plus {len(predictor_indices)} predictors"
-        )
+    max_lag = max(max(d.lags_per_variable) for d in dictionaries)
     n = signals.shape[1]
-    max_lag = max(dictionary.lags_per_variable)
     if n <= max_lag:
         raise InsufficientDataError(
             f"need more than max-lag={max_lag} samples, got {n}"
         )
-    start = max_lag + 1  # 1-based first usable t
+    return signals, max_lag + 1
+
+
+def _variables(target_index, predictor_indices, dictionary) -> list[int]:
+    variables = [target_index] + list(predictor_indices)
+    if len(variables) != len(dictionary.lags_per_variable):
+        raise ShapeError(
+            f"dictionary declares {len(dictionary.lags_per_variable)} variables, "
+            f"got target plus {len(variables) - 1} predictors"
+        )
+    return variables
+
+
+def _design(signals, blocks, dictionary, start: int) -> np.ndarray:
+    """Columns ``signal_c(t - k) * basis(t / N)``, t = start..N, one block
+    of ``bases_per_term`` columns per (channel c, lag k) of ``blocks``."""
+    n = signals.shape[1]
     basis = _sampled_basis(dictionary.orders, dictionary.scale, start, n)
-    blocks = []
-    for v, max_lag_v in zip(variables, dictionary.lags_per_variable):
-        sig = signals[v]
-        for k in range(1, max_lag_v + 1):
-            lagged = sig[start - 1 - k : n - k]
-            blocks.append(lagged[:, None] * basis)
-    psi = np.hstack(blocks)
-    if psi.shape[1] != dictionary.candidate_count:
-        raise ShapeError("candidate count mismatch while expanding regressors")
-    target = signals[target_index, start - 1 :]
-    return RegressionProblem(psi, target, dictionary, start, n)
+    return np.hstack([signals[c, start - 1 - k : n - k, None] * basis for c, k in blocks])
 
 
 @lru_cache(maxsize=8)
@@ -188,22 +204,38 @@ def _deflate(columns: np.ndarray, q: int) -> np.ndarray:
 def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     """Greedy forward selection on the regularized error reduction ratio.
 
+    The one-equation case of ``_search``.
+    """
+    columns = np.arange(problem.design_matrix.shape[1])
+    return _search(problem.design_matrix, problem.target[None], [(0, columns)], config)[0]
+
+
+def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig):
+    """ROFR for several equations whose candidates are columns of ``psi``.
+
+    ``targets`` is (targets, usable samples); ``equations`` lists (target
+    row, columns): the columns of ``psi`` the equation may choose, in its
+    dictionary order, which breaks argmax ties.  Returns one RofrResult
+    per equation, ``selected_indices`` counting in that order.
+
     RERR denominators use the fixed X^T X normalization so that
     1 - sum(RERR) equals the error-to-signal ratio fed to PESR.  Candidates
     whose orthogonalized squared norm falls below the elimination threshold
     are screened out (including at step 1, which removes all-zero columns).
 
     The search runs in the correlation form of orthogonal least squares
-    (Chen, Billings & Luo 1989) on inner products, never deflating the
-    N x M candidate matrix.  Per candidate j it keeps a_s[j] = <q_s, psi_j>,
-    the deflated squared norm ||h_j||^2 and <h_j, X> (which equals
-    <h_j, r> because h_j is orthogonal to every chosen q).  Step s needs
-    only the Gram row G[b] = Psi^T psi_b of the column b it picks, one
-    matrix-vector product: the full Psi^T Psi would cost M/2 times the
-    steps taken, and a matrix product that large runs BLAS-threaded,
-    which oversubscribes the cores inside the pipeline's worker pool.
-    Q, V and the residual are built once the PESR argmin fixes q, by
-    modified Gram-Schmidt on the chosen columns.
+    (Chen, Billings & Luo 1989) on inner products, never deflating a
+    design matrix.  Per equation and candidate j it keeps
+    a_s[j] = <q_s, psi_j>, the deflated squared norm ||h_j||^2 and
+    <h_j, X> (which equals <h_j, r> because h_j is orthogonal to every
+    chosen q).  All equations step in lockstep on (equations, candidates)
+    arrays: one argmax, one gather of the Gram rows G[b] = Psi^T psi_b of
+    the columns b they pick, one update.  Each Gram row is one
+    matrix-vector product, made the first time any equation picks b and
+    shared from then on.  The full Psi^T Psi would hold M rows where a
+    crop's search uses 100 to 250, and OpenBLAS threads a matrix product
+    that large, which stalls inside the pipeline's forked worker pool.
+    An equation leaves the lockstep when its own search stops.
 
     Inner-product norms lose precision to cancellation, about
     1e-16 * ||psi_j||^2, while the dictionary holds exactly collinear
@@ -212,101 +244,168 @@ def rofr_select(problem: RegressionProblem, config: RofrConfig) -> RofrResult:
     and <h_j, X> are recomputed from Psi and the chosen columns, so the
     absolute screen judges the explicitly deflated value.
     """
-    psi = problem.design_matrix
-    x = problem.target
-    m = psi.shape[1]
+    count = len(equations)
+    width = max(len(cols) for _, cols in equations)
+    cols = np.zeros((count, width), dtype=np.intp)
+    active = np.zeros((count, width), dtype=bool)
+    for e, (_, c) in enumerate(equations):
+        cols[e, : len(c)] = c
+        active[e, : len(c)] = True
+    target_of = np.array([t for t, _ in equations])
+    x = targets[target_of]
+    col_sq_all = np.einsum("ij,ij->j", psi, psi)
+    col_sq = col_sq_all[cols]
+    if config.regularization is None:
+        rho = np.array([1e-4 * float(col_sq_all[c].mean()) for _, c in equations])
+    else:
+        rho = np.full(count, float(config.regularization))
     eps = config.elimination_threshold
-    col_sq = np.einsum("ij,ij->j", psi, psi)
-    rho = config.regularization
-    if rho is None:
-        rho = 1e-4 * float(col_sq.mean())
-    xtx = float(x @ x)
-    if xtx <= 0:
-        raise EmptyModelError("target vector has zero energy")
-
+    xtx = np.array([float(t @ t) for t in targets])[target_of]
     h_sq = col_sq.copy()  # ||h_j||^2 of the deflated candidates
-    h_x = psi.T @ x  # <h_j, X>
-    active = h_sq >= eps
-    if not active.any():
-        raise EmptyModelError("all candidates eliminated by the norm screen")
-
-    n_pesr = problem.target.shape[0]
+    h_x = np.stack([psi.T @ t for t in targets])[target_of[:, None], cols]  # <h_j, X>
+    active &= h_sq >= eps
+    for e in range(count):
+        if xtx[e] <= 0:
+            raise EmptyModelError("target vector has zero energy")
+        if not active[e].any():
+            raise EmptyModelError("all candidates eliminated by the norm screen")
+    n_pesr = psi.shape[0]
     mu = config.pesr_mu
-    max_steps = min(config.max_terms, int(active.sum()))
-
-    corr = np.empty((max_steps, m))  # row s: a_s = Psi^T q_s
-    q_sq = np.empty(max_steps)  # ||q_s||^2
-    selected: list[int] = []
-    rerr_seq: list[float] = []
-    pesr_seq: list[float] = []
-    rising = 0
-    for step in range(1, max_steps + 1):
-        if mu * step / n_pesr >= 1.0:
-            break  # PESR penalty undefined beyond this size
-        if not active.any():
-            break
-        act_idx = np.flatnonzero(active)
-        scores = h_x[act_idx] ** 2 / (xtx * (h_sq[act_idx] + rho))
-        pick = int(np.argmax(scores))
-        best = int(act_idx[pick])
-        s = step - 1
-        q_sq[s] = h_sq[best]
-        corr[s] = psi.T @ psi[:, best] - (corr[:s, best] / q_sq[:s]) @ corr[:s]
-        h_x -= (h_x[best] / q_sq[s]) * corr[s]
-        h_sq -= corr[s] ** 2 / q_sq[s]
-        selected.append(best)
-        rerr_seq.append(float(scores[pick]))
-        active[best] = False
-        suspect = np.flatnonzero(active & (h_sq < _GRAM_GUARD * col_sq))
-        if suspect.size:
-            h = _deflate(psi[:, selected + suspect.tolist()], step)[:, step:]
-            h_sq[suspect] = np.einsum("ij,ij->j", h, h)
-            h_x[suspect] = h.T @ x
-        active &= h_sq >= eps
-        pesr = (1.0 - sum(rerr_seq)) / (1.0 - mu * step / n_pesr) ** 2
-        pesr_seq.append(pesr)
-        if len(pesr_seq) >= 2 and pesr_seq[-1] > pesr_seq[-2]:
-            rising += 1
-        else:
-            rising = 0
-        if rising >= config.stop_patience:
-            break
-
-    if not selected:
+    if mu / n_pesr >= 1.0:
         raise EmptyModelError("no candidate survived the search")
-    q = int(np.argmin(pesr_seq)) + 1
-    selected = selected[:q]
-    phi = psi[:, selected]
-    h = _deflate(np.column_stack([phi, x]), q)
-    q_mat = h[:, :q]
-    # unit upper triangular V with Phi = Q V, built from the original columns
-    q_norms = np.einsum("ij,ij->j", q_mat, q_mat)
-    v_mat = np.triu((q_mat.T @ phi) / q_norms[:, None], 1) + np.eye(q)
-    result = RofrResult(
-        selected_indices=selected,
-        rerr_sequence=np.array(rerr_seq[:q]),
-        pesr_trace=np.array(pesr_seq),
-        orthogonal_basis=q_mat,
+    max_steps = np.minimum(config.max_terms, active.sum(axis=1))
+
+    m = psi.shape[1]
+    gram = np.empty((m, m))  # row b filled the first time b is picked
+    filled = np.zeros(m, dtype=bool)
+    steps = int(max_steps.max())
+    corr = np.empty((count, steps, width))  # corr[e, s]: a_s of equation e
+    picks = np.empty((count, steps), dtype=np.intp)
+    q_sq = np.empty((count, steps))  # ||q_s||^2
+    q_x = np.empty((count, steps))  # <q_s, X>
+    rerr = np.empty((count, steps))
+    pesr = np.empty((count, steps))
+    rerr_sum = np.zeros(count)
+    rising = np.zeros(count, dtype=int)
+    ids = np.arange(count)  # equation of each live row
+    results = [None] * count
+    for s in range(steps):
+        live = np.arange(ids.size)
+        scores = np.full(h_sq.shape, -1.0)
+        np.divide(h_x**2, xtx[:, None] * (h_sq + rho[:, None]), out=scores, where=active)
+        pick = np.argmax(scores, axis=1)
+        best = cols[live, pick]
+        for b in np.unique(best[~filled[best]]):
+            # only rows where psi_b is nonzero count: a B-spline spans a few
+            # eighths of the series at scale 3
+            nonzero = np.flatnonzero(psi[:, b])
+            span = slice(nonzero[0], nonzero[-1] + 1)
+            gram[b] = psi[span].T @ psi[span, b]
+        filled[best] = True
+        picks[:, s] = pick
+        q_sq[:, s] = h_sq[live, pick]
+        q_x[:, s] = h_x[live, pick]
+        rerr[:, s] = scores[live, pick]
+        a_s = gram[best[:, None], cols]
+        if s:
+            back = corr[live, :s, pick] / q_sq[:, :s]
+            a_s -= np.matmul(back[:, None, :], corr[:, :s])[:, 0]
+        corr[:, s] = a_s
+        h_x -= (q_x[:, s] / q_sq[:, s])[:, None] * a_s
+        h_sq -= a_s**2 / q_sq[:, s, None]
+        active[live, pick] = False
+        suspect = active & (h_sq < _GRAM_GUARD * col_sq)
+        for e in np.flatnonzero(suspect.any(axis=1)):
+            sus = np.flatnonzero(suspect[e])
+            chosen = cols[e, picks[e, : s + 1]]
+            h = _deflate(psi[:, np.concatenate([chosen, cols[e, sus]])], s + 1)
+            h = h[:, s + 1 :]
+            h_sq[e, sus] = np.einsum("ij,ij->j", h, h)
+            h_x[e, sus] = h.T @ x[e]
+        active &= h_sq >= eps
+        rerr_sum += rerr[:, s]
+        pesr[:, s] = (1.0 - rerr_sum) / (1.0 - mu * (s + 1) / n_pesr) ** 2
+        if s:
+            rising = np.where(pesr[:, s] > pesr[:, s - 1], rising + 1, 0)
+        go_on = (
+            (rising < config.stop_patience)
+            & (s + 1 < max_steps[ids])
+            & active.any(axis=1)
+        )
+        if mu * (s + 2) / n_pesr >= 1.0:
+            go_on[:] = False  # PESR penalty undefined beyond this size
+        for i in np.flatnonzero(~go_on):
+            results[ids[i]] = _result(
+                psi, x[i], cols[i], picks[i, : s + 1], corr[i], q_sq[i], q_x[i],
+                rerr[i], pesr[i, : s + 1], float(rho[i]),
+            )
+        if not go_on.all():
+            state = (ids, cols, x, col_sq, rho, xtx, h_sq, h_x, active, rising)
+            ids, cols, x, col_sq, rho, xtx, h_sq, h_x, active, rising = (
+                a[go_on] for a in state
+            )
+            picks, q_sq, q_x, rerr, pesr, rerr_sum = (
+                a[go_on] for a in (picks, q_sq, q_x, rerr, pesr, rerr_sum)
+            )
+            # move the kept equations' filled steps up in place: a new
+            # array would fault in fresh pages at every compaction
+            for row, kept in enumerate(np.flatnonzero(go_on)):
+                if row != kept:
+                    corr[row, : s + 1] = corr[kept, : s + 1]
+            corr = corr[: ids.size]
+        if not ids.size:
+            break
+    return results
+
+
+def _result(psi, x, cols, picks, corr, q_sq, q_x, rerr, pesr, rho) -> RofrResult:
+    """One equation's RofrResult once its search has stopped: the model
+    size is the PESR argmin q over the executed steps."""
+    q = int(np.argmin(pesr)) + 1
+    picks = picks[:q]
+    norms = q_sq[:q]
+    # unit upper triangular V with Phi = Q V: V[s, t] = <q_s, phi_t> / ||q_s||^2
+    v_mat = np.triu(corr[:q, picks] / norms[:, None], 1) + np.eye(q)
+    coefficients, residual = solve_parameters(
+        psi[:, cols[picks]], x, v_mat, norms, q_x[:q]
+    )
+    return RofrResult(
+        selected_indices=picks.tolist(),
+        rerr_sequence=rerr[:q].copy(),
+        pesr_trace=pesr.copy(),
         triangular_factor=v_mat,
-        coefficients=np.empty(q),
-        residual=h[:, q],
+        orthogonal_norms=norms.copy(),
+        coefficients=coefficients,
+        residual=residual,
         regularization=rho,
     )
-    result.coefficients = solve_parameters(result, x)
-    return result
 
 
-def solve_parameters(result: RofrResult, target: np.ndarray) -> np.ndarray:
-    """Back-substitute V Pi = K with K the orthogonal projections of X."""
-    q_mat = result.orthogonal_basis
-    v_mat = result.triangular_factor
-    q = q_mat.shape[1]
-    q_sq = np.einsum("ij,ij->j", q_mat, q_mat)
-    k = (q_mat.T @ target) / q_sq
-    pi = np.empty(q)
-    for i in range(q - 1, -1, -1):
-        pi[i] = k[i] - v_mat[i, i + 1 :] @ pi[i + 1 :]
-    return pi
+def solve_parameters(
+    phi: np.ndarray,
+    target: np.ndarray,
+    triangular: np.ndarray,
+    norms: np.ndarray,
+    projections: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of ``target`` on ``phi`` = Q V, and the
+    residual ``target - phi @ coefficients``.
+
+    ``triangular`` is the unit upper triangular V, ``norms`` the
+    ||q_s||^2 and ``projections`` the <q_s, target> of the search, so
+    V Pi = <q_s, target> / ||q_s||^2 gives Pi by back-substitution.  As
+    V and the norms come from inner products, Pi then takes one step of
+    the corrected semi-normal equations (Bjorck 1987): with the explicit
+    residual r, Phi^T Phi d = Phi^T r is solved through
+    Phi^T Phi = V^T diag(norms) V, and Pi + d is returned.
+    """
+    # LAPACK directly: scipy's solve_triangular wrapper takes tens of
+    # microseconds a call, longer than these q x q solves
+    pi = dtrtrs(triangular, projections / norms, unitdiag=1)[0]
+    gradient = phi.T @ (target - phi @ pi)
+    step = dtrtrs(triangular, gradient, trans=1, unitdiag=1)[0]
+    pi += dtrtrs(triangular, step / norms, unitdiag=1)[0]
+    return pi, target - phi @ pi
 
 
 def recursive_covariance(
@@ -367,6 +466,7 @@ def reconstruct_coefficients(model: TvarxModel) -> dict:
     n = model.n_samples
     dictionary = model.dictionary
     basis = _sampled_basis(dictionary.orders, dictionary.scale, 1, n)
+    bases = dictionary.bases_per_term
     series: dict[tuple[int, int], np.ndarray] = {}
     for (slot, lag, _), index, coeff in zip(
         model.selected_terms, model.rofr.selected_indices, model.expansion_coefficients
@@ -375,8 +475,61 @@ def reconstruct_coefficients(model: TvarxModel) -> dict:
         key = (chan, lag)
         if key not in series:
             series[key] = np.zeros(n)
-        series[key] += coeff * basis[:, index % dictionary.bases_per_term]
+        series[key] += coeff * basis[:, index % bases]
     return series
+
+
+def fit_equations(signals: np.ndarray, equations, rofr: RofrConfig | None = None):
+    """Fit several equations on one series in one ROFR search (``_search``).
+
+    ``equations`` lists (target_index, predictor_indices, dictionary); the
+    dictionaries must share orders, scale and maximum lag, so that every
+    equation uses the same samples.  Their candidates are
+    columns of one design matrix with one block per (channel, lag) that
+    any equation uses, built once.  Returns one TvarxModel per equation.
+    """
+    rofr = rofr or RofrConfig()
+    dictionaries = [d for _, _, d in equations]
+    shared = {(d.orders, d.scale, max(d.lags_per_variable)) for d in dictionaries}
+    if len(shared) > 1:
+        raise ShapeError(
+            "equations fitted together must share orders, scale and maximum lag"
+        )
+    signals, start = _usable(signals, dictionaries)
+    blocks: dict[tuple[int, int], int] = {}  # (channel, lag) -> block, first use
+    targets: dict[int, int] = {}  # channel -> target row
+    layout = []
+    for target, predictors, d in equations:
+        variables = _variables(target, predictors, d)
+        block = [
+            blocks.setdefault((c, k), len(blocks))
+            for c, max_lag in zip(variables, d.lags_per_variable)
+            for k in range(1, max_lag + 1)
+        ]
+        columns = np.add.outer(np.array(block) * d.bases_per_term, np.arange(d.bases_per_term))
+        layout.append((targets.setdefault(target, len(targets)), columns.ravel()))
+    psi = _design(signals, blocks, dictionaries[0], start)
+    results = _search(psi, signals[list(targets), start - 1 :], layout, rofr)
+    n = signals.shape[1]
+    models = []
+    for (target, predictors, d), result in zip(equations, results):
+        residuals = np.zeros(n)  # zero before start_sample
+        residuals[start - 1 :] = result.residual
+        model = TvarxModel(
+            target_index=target,
+            predictor_indices=list(predictors),
+            dictionary=d,
+            rofr=result,
+            config=rofr,
+            n_samples=n,
+            start_sample=start,
+            selected_terms=[d.candidates[i] for i in result.selected_indices],
+            expansion_coefficients=result.coefficients,
+            residuals=residuals,
+        )
+        model.timevarying_coefficients = reconstruct_coefficients(model)
+        models.append(model)
+    return models
 
 
 def fit_tvarx(
@@ -387,25 +540,4 @@ def fit_tvarx(
     rofr: RofrConfig | None = None,
 ) -> TvarxModel:
     """Fit one equation: expand, select, solve, reconstruct."""
-    rofr = rofr or RofrConfig()
-    problem = expand_regressors(signals, target_index, predictor_indices, dictionary)
-    result = rofr_select(problem, rofr)
-    terms = [problem.dictionary.candidates[i] for i in result.selected_indices]
-    n = problem.n_samples
-    residuals = np.zeros(n)
-    fitted = problem.design_matrix[:, result.selected_indices] @ result.coefficients
-    residuals[problem.start_sample - 1 :] = problem.target - fitted
-    model = TvarxModel(
-        target_index=target_index,
-        predictor_indices=list(predictor_indices),
-        dictionary=dictionary,
-        rofr=result,
-        config=rofr,
-        n_samples=n,
-        start_sample=problem.start_sample,
-        selected_terms=terms,
-        expansion_coefficients=result.coefficients,
-        residuals=residuals,
-    )
-    model.timevarying_coefficients = reconstruct_coefficients(model)
-    return model
+    return fit_equations(signals, [(target_index, predictor_indices, dictionary)], rofr)[0]

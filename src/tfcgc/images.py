@@ -13,6 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ShapeError
+
 ELECTRODE_ORDER = ("Fz", "C3", "Cz", "C4", "Pz")
 
 #: Signed map differences defining each electrode's representation.
@@ -49,10 +51,6 @@ class InvalidCropError(ValueError):
 
 class IncompleteInputError(KeyError):
     """A required directed causality map is missing."""
-
-
-class ShapeError(ValueError):
-    """Inputs do not have the expected dimensions."""
 
 
 @dataclass(frozen=True)

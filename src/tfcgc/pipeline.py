@@ -426,6 +426,26 @@ def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
             )
 
 
+def check_architecture(config: RunConfig, sampling_rate: float) -> None:
+    """Reject a classifier that cannot read the run's images, before imaging.
+
+    An image has one column per grid time of a crop,
+    ceil(crop samples / time_decimation); every convolution and pooling
+    stage must leave at least one.
+    """
+    cnn = config.convnet_config()
+    crop = round(sampling_rate * config.crop_seconds)
+    width = -(-crop // config.time_decimation)
+    try:
+        convnet._time_lengths(cnn, width)
+    except convnet.ArchitectureError as exc:
+        raise convnet.ArchitectureError(
+            f"images of {width} time columns (crops of {crop} samples, "
+            f"time_decimation {config.time_decimation}) are too short for "
+            f"the classifier: {exc}"
+        ) from exc
+
+
 def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     """Execute the full decode and return the run report as a dict.
 
@@ -444,6 +464,7 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     if len(train_set) == 0:
         raise DataError("training split is empty")
     check_crop_parity(test_set, config)
+    check_architecture(config, filtered.sampling_rate)
 
     tr_images, tr_labels, _, _ = trial_images(train_set, config)
     ensemble = boosting.adaboost_train(

@@ -131,6 +131,11 @@ class TestBuildDictionary:
         keys = [(v, k, s.order, s.shift) for v, k, s in d1.candidates]
         assert keys == sorted(keys)
 
+    def test_one_instance_per_normalized_arguments(self):
+        d = build_dictionary({3, 4, 5}, 3, [3] * 5)
+        assert build_dictionary([5, 4, 3, 3], 3, (3, 3, 3, 3, 3)) is d
+        assert build_dictionary({3, 4, 5}, 3, [3] * 4) is not d
+
     def test_empty_lags_rejected(self):
         with pytest.raises(InvalidSpecError):
             build_dictionary({3}, 3, [])

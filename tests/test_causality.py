@@ -616,10 +616,10 @@ class TestBatchedPairs:
         lag[t_bad, 0] = rot
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
-        def fake_fit(signals, channels, config):
-            return full if len(channels) == 2 else restricted
+        def fake_fit(signals, systems, config):
+            return [full if len(channels) == 2 else restricted for channels in systems]
 
-        monkeypatch.setattr(causality, "fit_system", fake_fit)
+        monkeypatch.setattr(causality, "fit_systems", fake_fit)
         cfg = CgcConfig(freq_step=2.0)  # 6, 8, 10, 12 Hz
         with pytest.raises(ConditioningError) as info:
             pairwise_maps(np.zeros((2, n)), [0, 1], fs, cfg)

@@ -332,3 +332,40 @@ class TestRunCommand:
             "numeric failure: trial train_left_000, crop at sample 1: "
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (
+                "time_decimation = 25\n",
+                "error: images of 20 time columns (crops of 500 samples, "
+                "time_decimation 25) are too short for the classifier: block 2: "
+                "temporal convolution needs 15 samples, have 3",
+            ),
+            (
+                "[classifier]\ntemporal_kernel = 30\n",
+                "error: temporal kernel must lie in [10, 20]",
+            ),
+        ],
+    )
+    def test_classifier_checked_before_imaging(
+        self, tmp_path, capsys, monkeypatch, command, settings, message
+    ):
+        def no_imaging(*args, **kwargs):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + settings + "[synth]\ntrials_per_class = 1\n"
+            "test_trials_per_class = 1\ntrial_seconds = 2.0\n",
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        code = main([command, "--config", cfg, "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == message
+        assert "Traceback" not in err

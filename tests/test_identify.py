@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tfcgc import pipeline
 from tfcgc.bsplines import BSplineSpec, basis_eval, build_dictionary
+from tfcgc.causality import fit_systems
 from tfcgc.identify import (
     EmptyModelError,
     InsufficientDataError,
@@ -9,12 +11,12 @@ from tfcgc.identify import (
     RofrConfig,
     ShapeError,
     expand_regressors,
+    fit_equations,
     fit_tvarx,
     recursive_covariance,
     reconstruct_coefficients,
     rofr_select,
     _sampled_basis,
-    solve_parameters,
 )
 
 
@@ -234,17 +236,17 @@ class TestRofrSelect:
             assert np.all(s_big <= s_small + 1e-15)
 
     def test_orthogonality_and_factorization(self):
+        # Phi = Q V with orthogonal Q, checked without Q: the residual is
+        # orthogonal to Phi and Phi^T Phi = V^T diag(||q_s||^2) V
         rng = np.random.default_rng(7)
         prob = make_problem(rng, n=150, m=25)
         res = rofr_select(prob, RofrConfig(regularization=0.0, max_terms=10))
-        q, v = res.orthogonal_basis, res.triangular_factor
+        v, norms = res.triangular_factor, res.orthogonal_norms
         phi = prob.design_matrix[:, res.selected_indices]
-        recon = q @ v
-        assert np.linalg.norm(recon - phi) <= 1e-10 * np.linalg.norm(phi)
-        gram = q.T @ q
-        off = gram - np.diag(np.diag(gram))
-        assert np.abs(off).max() < 1e-8 * np.abs(np.diag(gram)).max()
-        assert np.abs(q.T @ res.residual).max() < 1e-8
+        gram = phi.T @ phi
+        recon = v.T @ np.diag(norms) @ v
+        assert np.linalg.norm(recon - gram) <= 1e-10 * np.linalg.norm(gram)
+        assert np.abs(phi.T @ res.residual).max() < 1e-8
         # unit upper triangular
         assert np.allclose(np.diag(v), 1.0)
         assert np.allclose(np.tril(v, -1), 0.0)
@@ -313,6 +315,100 @@ class TestGramScreen:
         # explicit deflated norm of each chosen column against those before it
         r_factor = np.linalg.qr(psi[:, res.selected_indices], mode="r")
         assert np.min(np.diag(r_factor) ** 2) >= 1e-12
+
+
+    @pytest.mark.parametrize("seed", [5, 7, 8, 13])
+    def test_coefficients_match_least_squares(self, seed):
+        # V and the norms come from inner products; the refinement step
+        # with the explicit residual brings the coefficients to lstsq
+        prob = self.chirp_problem(seed)
+        res = rofr_select(prob, RofrConfig(regularization=0.0))
+        phi = prob.design_matrix[:, res.selected_indices]
+        ls, *_ = np.linalg.lstsq(phi, prob.target, rcond=None)
+        err = np.abs(res.coefficients - ls).max() / np.abs(ls).max()
+        assert err <= 1e-10
+        np.testing.assert_array_equal(
+            res.residual, prob.target - phi @ res.coefficients
+        )
+
+
+def crop_equations(channels):
+    """The 25 equations of a 5-channel crop in ``fit_systems`` order:
+    the full system, then one restricted system per excluded source."""
+    systems = [channels] + [[c for c in channels if c != s] for s in channels]
+    return systems, [
+        (chan, [c for c in system if c != chan], system)
+        for system in systems
+        for chan in system
+    ]
+
+
+class TestLockstepSearch:
+    """All equations of a crop run as one search over shared columns."""
+
+    @pytest.fixture(scope="class")
+    def crop(self):
+        trials = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=4
+        )
+        return pipeline.bandpass(trials, 6.0, 15.0).trials[0].data
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pipeline.RunConfig(orders=(3,), lags=2, time_decimation=10),  # criterion 15
+            pipeline.RunConfig(),  # full scale
+        ],
+        ids=["criterion15", "fullscale"],
+    )
+    def test_matches_explicit_search_per_equation(self, crop, run):
+        config = run.cgc_config()
+        systems, equations = crop_equations(list(range(5)))
+        models = [m for fit in fit_systems(crop, systems, config) for m in fit.models]
+        assert len(models) == 25
+        for model, (target, predictors, system) in zip(models, equations):
+            assert (model.target_index, model.predictor_indices) == (target, predictors)
+            d = build_dictionary(config.orders, config.scale, [config.lags] * len(system))
+            prob = expand_regressors(crop, target, predictors, d)
+            oracle_config = RofrConfig(regularization=model.rofr.regularization)
+            picks, q = explicit_rofr_oracle(
+                prob.design_matrix, prob.target, oracle_config
+            )
+            assert model.rofr.selected_indices == picks[:q]
+            assert len(model.rofr.pesr_trace) == len(picks)
+
+    def test_restricted_equation_never_sees_its_source(self):
+        # channel 0 is channel 1 one sample late: any equation of 0 that can
+        # read 1 explains nearly all of it
+        rng = np.random.default_rng(21)
+        sig = rng.standard_normal((4, 400))
+        sig[0, 1:] = sig[1, :-1] + 0.01 * rng.standard_normal(399)
+        d_full = build_dictionary({3}, 2, [2] * 4)
+        d_rest = build_dictionary({3}, 2, [2] * 3)
+        full, rest = fit_equations(
+            sig, [(0, [1, 2, 3], d_full), (0, [2, 3], d_rest)], RofrConfig()
+        )
+        x = sig[0, 2:]
+        assert full.residuals @ full.residuals < 1e-3 * (x @ x)
+        assert rest.residuals @ rest.residuals > 0.5 * (x @ x)
+        assert all(rest.variables[slot] != 1 for slot, _, _ in rest.selected_terms)
+        # the fit is what its named terms give
+        u = np.arange(3, 401) / 400
+        fitted = np.zeros(398)
+        for (slot, lag, spec), c in zip(rest.selected_terms, rest.expansion_coefficients):
+            fitted += c * sig[rest.variables[slot], 2 - lag : 400 - lag] * basis_eval(spec, u)
+        np.testing.assert_allclose(x - fitted, rest.residuals[2:], atol=1e-10)
+
+    def test_equations_must_share_samples(self):
+        sig = np.random.default_rng(22).standard_normal((2, 100))
+        with pytest.raises(ShapeError):
+            fit_equations(
+                sig,
+                [
+                    (0, [1], build_dictionary({3}, 2, [2, 2])),
+                    (1, [0], build_dictionary({3}, 2, [3, 3])),
+                ],
+            )
 
 
 class TestSolveParameters:
