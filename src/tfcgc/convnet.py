@@ -19,6 +19,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -148,24 +149,31 @@ def build_convnet(config: ConvNetConfig, input_shape: tuple[int, int]) -> ConvNe
 
 
 def _temporal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Valid 1-d convolution over time: (B,Cin,L) x (Cout,Cin,tau)."""
+    """Valid 1-d convolution over time: (B,Cin,L) x (Cout,Cin,tau).
+
+    One matrix product per tap over a strided view of the input. An
+    im2col unfold would make it one product, but would copy the input
+    tau times, which large eval batches cannot afford.
+    """
     tau = w.shape[2]
     l_out = x.shape[2] - tau + 1
-    out = np.zeros((x.shape[0], w.shape[0], l_out))
-    for k in range(tau):
-        out += np.einsum("qp,bpt->bqt", w[:, :, k], x[:, :, k : k + l_out])
-    return out + b[None, :, None]
+    out = np.matmul(w[:, :, 0], x[:, :, :l_out])
+    for k in range(1, tau):
+        out += np.matmul(w[:, :, k], x[:, :, k : k + l_out])
+    out += b[:, None]
+    return out
 
 
 def _temporal_conv_backward(grad, x, w):
     tau = w.shape[2]
     l_out = grad.shape[2]
     dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
     for k in range(tau):
-        xs = x[:, :, k : k + l_out]
-        dw[:, :, k] = np.einsum("bqt,bpt->qp", grad, xs)
-        dx[:, :, k : k + l_out] += np.einsum("qp,bqt->bpt", w[:, :, k], grad)
+        dx[:, :, k : k + l_out] += np.matmul(w[:, :, k].T, grad)
+    # windows[b, p, k, t] = x[b, p, k + t]; the unfold copies only a
+    # training batch
+    windows = sliding_window_view(x, l_out, axis=2)
+    dw = np.tensordot(grad, windows, axes=([0, 2], [0, 3]))
     db = grad.sum(axis=(0, 2))
     return dx, dw, db
 
@@ -223,7 +231,7 @@ def forward(
     if train and cfg.dropout_rate > 0 and rng is None and dropout_masks is None:
         raise ValueError("training forward pass needs an rng or fixed masks")
     cache: dict = {"masks": [], "x_in": x}
-    h = np.einsum("ph,bht->bpt", model.params["spatial/W"], x)
+    h = np.matmul(model.params["spatial/W"], x)
     h = h + model.params["spatial/b"][None, :, None]
     cache["spatial_out"] = h
     for block in range(1, cfg.block_count + 1):
@@ -351,7 +359,7 @@ def loss_and_gradients(
         grads[f"block{block}/b"] = db
         if block >= 2 and cfg.dropout_rate > 0:
             grad = grad * cache["masks"][block - 2]
-    grads["spatial/W"] = np.einsum("bpt,bht->ph", grad, cache["x_in"])
+    grads["spatial/W"] = np.tensordot(grad, cache["x_in"], axes=([0, 2], [0, 2]))
     grads["spatial/b"] = grad.sum(axis=(0, 2))
     return loss, grads
 

@@ -231,30 +231,3 @@ def export_image(image: CausalityImage, path) -> None:
         fh.write(f"rows: {rows}\n")
         fh.write(f"cols: {cols}\n")
         fh.write(f"electrodes: {' '.join(image.electrode_order)}\n")
-
-
-def read_image(path) -> tuple[np.ndarray, float, float]:
-    """Read back an exported graymap and its sidecar value range."""
-    path = str(path)
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ShapeError(f"not a binary graymap: {magic!r}")
-        cols, rows = (int(tok) for tok in fh.readline().split())
-        maxval = int(fh.readline())
-        if maxval != 255:
-            raise ShapeError(f"unsupported max value {maxval}")
-        pixels = np.frombuffer(fh.read(rows * cols), dtype=np.uint8)
-    pixels = pixels.reshape(rows, cols).astype(float)
-    meta = {}
-    with open(path + ".txt", encoding="ascii") as fh:
-        for line in fh:
-            key, _, raw = line.partition(":")
-            meta[key.strip()] = raw.strip()
-    lo = float(meta["min"])
-    hi = float(meta["max"])
-    if hi > lo:
-        values = lo + pixels / 255.0 * (hi - lo)
-    else:
-        values = np.full(pixels.shape, lo)
-    return values, lo, hi

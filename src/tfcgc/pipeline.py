@@ -431,8 +431,20 @@ def check_architecture(config: RunConfig, sampling_rate: float) -> None:
 
     An image has one column per grid time of a crop,
     ceil(crop samples / time_decimation); every convolution and pooling
-    stage must leave at least one.
+    stage must leave at least one. The decimation and the training loop
+    counts must be positive.
     """
+    for section, key in (
+        ("causality", "time_decimation"),
+        ("classifier", "batch_size"),
+        ("classifier", "max_epochs"),
+        ("classifier", "chi"),
+    ):
+        value = getattr(config, key)
+        if value < 1:
+            raise convnet.ArchitectureError(
+                f"[{section}] {key} must be at least 1, got {value}"
+            )
     cnn = config.convnet_config()
     crop = round(sampling_rate * config.crop_seconds)
     width = -(-crop // config.time_decimation)

@@ -347,6 +347,22 @@ class TestRunCommand:
                 "[classifier]\ntemporal_kernel = 30\n",
                 "error: temporal kernel must lie in [10, 20]",
             ),
+            (
+                "time_decimation = 0\n",
+                "error: [causality] time_decimation must be at least 1, got 0",
+            ),
+            (
+                "[classifier]\nbatch_size = 0\n",
+                "error: [classifier] batch_size must be at least 1, got 0",
+            ),
+            (
+                "[classifier]\nmax_epochs = 0\n",
+                "error: [classifier] max_epochs must be at least 1, got 0",
+            ),
+            (
+                "[classifier]\nchi = -1\n",
+                "error: [classifier] chi must be at least 1, got -1",
+            ),
         ],
     )
     def test_classifier_checked_before_imaging(

@@ -6,6 +6,8 @@ from tfcgc.convnet import (
     ConvNetConfig,
     DegenerateLabelsError,
     ShapeError,
+    _temporal_conv,
+    _temporal_conv_backward,
     _time_lengths,
     accuracy,
     build_convnet,
@@ -24,6 +26,29 @@ TINY = ConvNetConfig(
     batch_size=4,
     seed=0,
 )
+
+
+def einsum_conv(x, w, b):
+    """Reference temporal convolution: one einsum per kernel tap."""
+    tau = w.shape[2]
+    l_out = x.shape[2] - tau + 1
+    out = np.zeros((x.shape[0], w.shape[0], l_out))
+    for k in range(tau):
+        out += np.einsum("qp,bpt->bqt", w[:, :, k], x[:, :, k : k + l_out])
+    return out + b[None, :, None]
+
+
+def einsum_conv_backward(grad, x, w):
+    tau = w.shape[2]
+    l_out = grad.shape[2]
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for k in range(tau):
+        xs = x[:, :, k : k + l_out]
+        dw[:, :, k] = np.einsum("bqt,bpt->qp", grad, xs)
+        dx[:, :, k : k + l_out] += np.einsum("qp,bqt->bpt", w[:, :, k], grad)
+    db = grad.sum(axis=(0, 2))
+    return dx, dw, db
 
 
 def separable_set(rng, n=20, height=6, t=30):
@@ -136,6 +161,51 @@ class TestForward:
         rng = np.random.default_rng(4)
         forward(model, rng.standard_normal((5, 4, 20)), mode="train", rng=rng)
         assert not np.allclose(model.running["block1/mean"], 0.0)
+
+
+class TestTemporalConv:
+    """The matrix-product kernels against the per-tap einsum reference."""
+
+    # (batch, in channels, out channels, length, kernel): the two blocks
+    # of the default classifier on 50-sample images, a toy block, and a
+    # kernel as long as the input
+    SHAPES = [
+        (16, 10, 10, 50, 15),
+        (16, 10, 20, 18, 15),
+        (3, 2, 3, 20, 3),
+        (4, 3, 2, 7, 7),
+    ]
+
+    @staticmethod
+    def assert_close(actual, expected):
+        assert actual.shape == expected.shape
+        scale = np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("batch, c_in, c_out, length, tau", SHAPES)
+    def test_matches_einsum_reference(self, batch, c_in, c_out, length, tau):
+        rng = np.random.default_rng(length * tau)
+        x = rng.standard_normal((batch, c_in, length))
+        w = rng.standard_normal((c_out, c_in, tau))
+        b = rng.standard_normal(c_out)
+        grad = rng.standard_normal((batch, c_out, length - tau + 1))
+        self.assert_close(_temporal_conv(x, w, b), einsum_conv(x, w, b))
+        for actual, expected in zip(
+            _temporal_conv_backward(grad, x, w), einsum_conv_backward(grad, x, w)
+        ):
+            self.assert_close(actual, expected)
+
+    def test_eval_batch_is_sample_independent(self):
+        rng = np.random.default_rng(12)
+        model = build_convnet(ConvNetConfig(), (90, 50))
+        for key in model.running:
+            model.running[key] = rng.uniform(0.5, 1.5, model.running[key].shape)
+        images = rng.standard_normal((40, 90, 50))
+        whole = forward(model, images)
+        chunks = np.concatenate(
+            [forward(model, images[a:b]) for a, b in ((0, 16), (16, 32), (32, 40))]
+        )
+        self.assert_close(chunks, whole)
 
 
 class TestGradients:

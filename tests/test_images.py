@@ -12,8 +12,30 @@ from tfcgc.images import (
     crop_trial,
     electrode_representation,
     export_image,
-    read_image,
 )
+
+
+def read_image(path):
+    """Read back an exported graymap and its sidecar value range."""
+    path = str(path)
+    with open(path, "rb") as fh:
+        assert fh.readline().strip() == b"P5"
+        cols, rows = (int(tok) for tok in fh.readline().split())
+        assert int(fh.readline()) == 255
+        pixels = np.frombuffer(fh.read(rows * cols), dtype=np.uint8)
+    pixels = pixels.reshape(rows, cols).astype(float)
+    meta = {}
+    with open(path + ".txt", encoding="ascii") as fh:
+        for line in fh:
+            key, _, raw = line.partition(":")
+            meta[key.strip()] = raw.strip()
+    lo = float(meta["min"])
+    hi = float(meta["max"])
+    if hi > lo:
+        values = lo + pixels / 255.0 * (hi - lo)
+    else:
+        values = np.full(pixels.shape, lo)
+    return values, lo, hi
 
 
 def full_map_set(rng=None, t=20, f=90):
