@@ -12,14 +12,17 @@ normalization explicitly (Geweke 1984; Chen, Bressler & Ding 2006): with
 w = v Abar^-1 (v the restricted sink row, Abar the full fit's raw
 spectrum) and Sigma the full fit's residual covariance, the sink spectrum
 is w Sigma w^H, its intrinsic part |w Sigma[:, k]|^2 / Sigma_kk, and the
-causal rest w Sigma_{.|k} w^H, with Sigma_{.|k} the covariance given the
-sink k.  ``normalize_*``, ``combine_transfer`` and ``conditional_causality``
-spell the same values out the long way.
+causal rest w Sigma_{.|k} w^H.  Per block of grid times, one stacked
+spectrum holds Abar and every pair's v, and one product with Abar^-1
+gives every w and the Abar Abar^-1 conditioning test.  ``normalize_*``,
+``combine_transfer`` and ``conditional_causality`` spell the same values
+out the long way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -115,7 +118,7 @@ class FittedSystem:
 class NormalizedSystem:
     """Geweke-normalized system ready for spectral evaluation."""
 
-    kind: str  # "restricted", "full", or "raw" (identity zero-lag)
+    kind: str  # "restricted" or "full"
     zero_lag: np.ndarray  # (N, n, n) block lower-triangular, unit diagonal
     lag_coefficients: np.ndarray  # (N, K, n, n), zero_lag @ raw lag matrices
     noise_covariance: np.ndarray  # (N, n, n) transformed residual covariance
@@ -136,42 +139,49 @@ def fit_systems(signals: np.ndarray, systems, config: CgcConfig) -> list[FittedS
     """Fit several systems on one series: all their equations (one per
     channel of each system) run as one ROFR search over shared columns."""
     systems = [list(channels) for channels in systems]
+    return [
+        _assemble_system(channels, models, config)
+        for channels, models in zip(systems, _fit_models(signals, systems, config))
+    ]
+
+
+def _fit_models(signals: np.ndarray, systems, config: CgcConfig):
+    """The fitted equations of each system (a list of channels), one model
+    per channel in system order, from one ROFR search."""
     equations = []
     for channels in systems:
-        dictionary = build_dictionary(
-            config.orders, config.scale, [config.lags] * len(channels)
-        )
-        equations += [
-            (chan, [c for c in channels if c != chan], dictionary) for chan in channels
-        ]
+        lags = [config.lags] * len(channels)
+        dictionary = build_dictionary(config.orders, config.scale, lags)
+        equations += [(c, [p for p in channels if p != c], dictionary) for c in channels]
     models = iter(fit_equations(signals, equations, config.rofr))
-    return [
-        _assemble_system(channels, [next(models) for _ in channels], config)
-        for channels in systems
-    ]
+    return [[next(models) for _ in channels] for channels in systems]
+
+
+def _lag_matrices(channel_indices, models, n_lags: int) -> np.ndarray:
+    """(N, K, n, n) raw lag matrices of one system's fitted equations."""
+    n_vars = len(channel_indices)
+    lag_mats = np.zeros((models[0].n_samples, n_lags, n_vars, n_vars))
+    for i, model in enumerate(models):
+        for (c, k), series in model.timevarying_coefficients.items():
+            lag_mats[:, k - 1, i, channel_indices.index(c)] = series
+    return lag_mats
 
 
 def _assemble_system(channel_indices, models, config: CgcConfig) -> FittedSystem:
     """Raw lag matrices and recursive residual covariances of fitted equations."""
     n_vars = len(channel_indices)
     n = models[0].n_samples
-    lag_mats = np.zeros((n, config.lags, n_vars, n_vars))
-    for i, model in enumerate(models):
-        for (c, k), series in model.timevarying_coefficients.items():
-            lag_mats[:, k - 1, i, channel_indices.index(c)] = series
     start = models[0].start_sample
     usable = slice(start - 1, n)
     cov = np.zeros((n, n_vars, n_vars))
-    for i in range(n_vars):
-        for j2 in range(i, n_vars):
-            ri = models[i].residuals[usable]
-            rj = models[j2].residuals[usable]
-            w = min(config.init_window, ri.shape[0])
-            trace = recursive_covariance(ri, rj, config.forgetting, w)
-            cov[usable, i, j2] = trace
-            cov[usable, j2, i] = trace
-            cov[: start - 1, i, j2] = trace[0]
-            cov[: start - 1, j2, i] = trace[0]
+    for i, j2 in combinations_with_replacement(range(n_vars), 2):
+        ri = models[i].residuals[usable]
+        rj = models[j2].residuals[usable]
+        w = min(config.init_window, ri.shape[0])
+        trace = recursive_covariance(ri, rj, config.forgetting, w)
+        cov[usable, i, j2] = cov[usable, j2, i] = trace
+        cov[: start - 1, i, j2] = cov[: start - 1, j2, i] = trace[0]
+    lag_mats = _lag_matrices(channel_indices, models, config.lags)
     return FittedSystem(channel_indices, models, lag_mats, cov, n, start)
 
 
@@ -233,35 +243,43 @@ def spectral_matrices(
     The zero-lag term is the normalization matrix; lag k contributes
     ``-lag_coefficients[t, k] * exp(-i 2 pi k f / f_s)``.
     """
+    zero_lag, lag = system.zero_lag, system.lag_coefficients
+    if time_indices is not None:
+        zero_lag, lag = zero_lag[time_indices], lag[time_indices]
+    return _spectrum(zero_lag, lag, sampling_rate, freqs)
+
+
+def _spectrum(zero_lag, lags, sampling_rate: float, freqs) -> np.ndarray:
+    """(T, F, r, n) complex zero_lag - sum_k lags[:, k] e^{-i 2 pi k f / f_s}
+    of (T, K, r, n) ``lags`` and a (T or 1, r, n) ``zero_lag``, as two real
+    (F, K) @ (K, r*n) products per time (cos, sin), so each time's values
+    are the same whatever the other times of the call."""
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs < 0) or np.any(freqs > sampling_rate / 2):
         raise InvalidRangeError("frequencies must lie in [0, f_s / 2]")
-    zero_lag = system.zero_lag
-    lag = system.lag_coefficients
-    if time_indices is not None:
-        zero_lag = zero_lag[time_indices]
-        lag = lag[time_indices]
-    n_times, n_lags, n_vars, _ = lag.shape
+    n_times, n_lags = lags.shape[:2]
     angle = 2 * np.pi * np.outer(freqs, np.arange(1, n_lags + 1)) / sampling_rate
-    # -a_k e^{-i angle} = -a_k cos(angle) + i a_k sin(angle): two real
-    # (F, K) @ (K, n*n) products per time, so each time's values are the
-    # same whatever the other times of the call
-    lag = lag.reshape(n_times, n_lags, n_vars * n_vars)
-    shape = (n_times, freqs.size, n_vars, n_vars)
+    lags = lags.reshape(n_times, n_lags, -1)
+    shape = (n_times, freqs.size) + zero_lag.shape[1:]
     out = np.empty(shape, dtype=complex)
-    out.real = zero_lag[:, None, :, :] - (np.cos(angle) @ lag).reshape(shape)
-    out.imag = (np.sin(angle) @ lag).reshape(shape)
+    out.real = zero_lag[:, None] - (np.cos(angle) @ lags).reshape(shape)
+    out.imag = (np.sin(angle) @ lags).reshape(shape)
     return out
 
 
-def _batched_inverse(mats: np.ndarray, what: str, t0: int = 0) -> np.ndarray:
-    """Inverse of each (t, f) matrix; ``t0`` is the grid time of ``mats[0]``."""
+def _times_inverse(rows: np.ndarray, n: int, what: str, t0: int = 0) -> np.ndarray:
+    """The rows after the first n of ``rows @ M^-1``, M = ``rows[..., :n, :]``.
+
+    The first n rows, M M^-1, must lie within 1e-8 of I: the one
+    conditioning test of every inverse.  ``t0`` is the grid time of
+    ``rows[0]``."""
     try:
-        inv = np.linalg.inv(mats)
+        inv = np.linalg.inv(rows[..., :n, :])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular {what} matrix on the grid") from exc
-    resid = mats @ inv
-    resid -= np.eye(mats.shape[-1])
+    prod = rows @ inv
+    resid = prod[..., :n, :]
+    resid -= np.eye(n)
     resid = np.abs(resid).max(axis=(-2, -1))
     if not np.all(np.isfinite(inv)) or resid.max() > 1e-8:
         t, f = np.unravel_index(int(np.nanargmax(resid)), resid.shape)
@@ -269,7 +287,13 @@ def _batched_inverse(mats: np.ndarray, what: str, t0: int = 0) -> np.ndarray:
         raise ConditioningError(
             f"ill-conditioned {what} matrix at grid point (t={t}, f={f})", t=t, f=f
         )
-    return inv
+    return prod[..., n:, :]
+
+
+def _batched_inverse(mats: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of each (t, f) matrix M: the rows I stacked below M give I M^-1."""
+    eye = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape)
+    return _times_inverse(np.concatenate([mats, eye], axis=-2), mats.shape[-1], what)
 
 
 def combine_transfer(
@@ -338,25 +362,11 @@ class CgcMap:
             raise InvalidRangeError("map value dimensions do not match axes")
 
 
-def _raw_spectrum(
-    lag_matrices: np.ndarray,
-    sampling_rate: float,
-    freqs: np.ndarray,
-    time_indices: np.ndarray,
-) -> np.ndarray:
-    """Abar(t, f) = I - sum_k a_k(t) exp(-i 2 pi f k / f_s) of a fitted
-    system's (N, K, n, n) raw lag matrices."""
-    n, _, n_vars, _ = lag_matrices.shape
-    raw = NormalizedSystem(
-        "raw", np.broadcast_to(np.eye(n_vars), (n, n_vars, n_vars)), lag_matrices, None
-    )
-    return spectral_matrices(raw, sampling_rate, freqs, time_indices)
-
-
-# grid times per `_pair_values` call in `pairwise_maps`.  At 10 a
-# full-scale crop's largest block array, w (times, F, 20 pairs, 5) complex,
-# is 1.4 MB; on a core with a 2 MB L2, blocks of 25 or more times made the
-# pair evaluation about 1.6x slower.
+# grid times per block of `_pair_values`.  At 10 a full-scale crop's
+# stacked spectrum and its product with Abar^-1, each (times, F, 5 + 20
+# rows, 5) complex, are 1.8 MB.  Pair evaluation of a full-scale crop
+# took 260, 259 and 268 ms at blocks of 5, 10 and 20 times, and of a
+# criterion-15 crop 30.0, 29.7 and 44.1 ms (2-CPU VM, 2 MB L2 per core).
 _TIME_BLOCK = 10
 
 
@@ -371,18 +381,15 @@ def _pair_values(
     sampling_rate: float,
     freqs: np.ndarray,
     time_indices: np.ndarray,
-    t0: int = 0,
 ) -> np.ndarray:
     """Causality values of the directed pairs that share one full fit.
 
-    ``restricted`` lists ``(source, sinks, rows)``: ``rows[:, :, i]`` is
-    the row of ``sinks[i]`` in the raw spectrum (``_raw_spectrum``) at
-    ``time_indices`` of the system fitted on the full fit's channels
-    without ``source``, in the full fit's order, so a caller that reuses
-    one restricted fit evaluates it once.  ``t0`` is the grid time of
-    ``time_indices[0]``, so errors name the cell of the whole grid.
-    Returns (pairs, T, F) values, pairs in the order of ``restricted``
-    and of each item's ``sinks``.
+    ``restricted`` lists ``(source, sinks, lags)``: ``lags[:, :, i]`` is
+    the (N, K, n - 1) raw lag row of ``sinks[i]`` in the system fitted on
+    the full fit's channels without ``source``, in the full fit's order.
+    Returns (pairs, T, F) values at ``time_indices``, pairs in the order
+    of ``restricted`` and of each item's ``sinks``; errors name the cell
+    of this grid.
 
     In the pair order [sink k, source j] + conditioning the normalized
     full spectrum is B = D(t) P Abar P^T, and the restricted zero-lag
@@ -400,35 +407,50 @@ def _pair_values(
       covariance given the sink: q >= 0 up to rounding;
     - value = log(total / intrinsic) = log1p(q / intrinsic).
 
-    Abar is inverted once for all pairs; one batched product gives every
-    pair's w, and a second both w Sigma[:, k] and w Sigma_{.|k}.
+    Per block of ``_TIME_BLOCK`` grid times, the block's full lag matrices
+    and every sink row are stacked into one real (times, K, n + pairs, n)
+    array; its spectrum holds Abar and every v.
     """
-    a_inv = _batched_inverse(
-        _raw_spectrum(full.lag_matrices, sampling_rate, freqs, time_indices),
-        "coefficient",
-        t0,
-    )
     slot = {c: i for i, c in enumerate(full.channel_indices)}
+    n = len(slot)
     pairs = [(source, sink) for source, sinks, _ in restricted for sink in sinks]
-    v = np.empty(a_inv.shape[:2] + (len(pairs), len(slot)), dtype=complex)
-    p = 0
-    for source, sinks, rows in restricted:
-        at = slot[source]
-        v_item = v[:, :, p : p + len(sinks)]
-        v_item[..., :at] = rows[..., :at]
-        v_item[..., at] = 0.0
-        v_item[..., at + 1 :] = rows[..., at:]
-        p += len(sinks)
-    w = v @ a_inv  # (T, F, pairs, n)
-    cov = full.residual_covariance[time_indices]
-    each = np.arange(len(pairs))
     k = np.array([slot[sink] for _, sink in pairs])
     j = np.array([slot[source] for source, _ in pairs])
+    # the stack's zero-lag term: I over Abar, a 1 at each sink of a v row
+    zero_lag = np.eye(n)[np.concatenate([np.arange(n), k])][None]
+    # each item's rows of the stack and the columns its lag rows fill
+    places, row = [], n
+    for source, sinks, lags in restricted:
+        columns = np.delete(np.arange(n), slot[source])
+        places.append((slice(row, row + len(sinks)), columns, lags))
+        row += len(sinks)
+    values = np.empty((len(pairs), time_indices.size, len(freqs)))
+    for t0 in range(0, time_indices.size, _TIME_BLOCK):
+        block = time_indices[t0 : t0 + _TIME_BLOCK]
+        rows = np.zeros(block.shape + full.lag_matrices.shape[1:2] + (n + k.size, n))
+        rows[:, :, :n] = full.lag_matrices[block]
+        for at, columns, lags in places:
+            rows[:, :, at, columns] = lags[block]
+        # the spectrum dies in the call; w (a view of the product) is
+        # dropped before the next block, so no two blocks' arrays meet
+        w = _times_inverse(
+            _spectrum(zero_lag, rows, sampling_rate, freqs), n, "coefficient", t0
+        )
+        values[:, t0 : t0 + _TIME_BLOCK] = _block_values(
+            full.residual_covariance[block], w, k, j, block
+        )
+        del w
+    return values
+
+
+def _block_values(cov, w, k, j, block):
+    """(pairs, T, F) values of a block: (T, n, n) ``cov``, (T, F, pairs, n) ``w``."""
+    each = np.arange(k.size)
     sigma_k = cov[:, k]  # (T, pairs, n): Sigma[k, :] of each pair's sink
     s_kk = sigma_k[:, each, k]
     if np.any(s_kk <= 0):
         raise DegenerateVarianceError(
-            f"sink residual variance <= 0 at t={_first_sample(s_kk <= 0, time_indices)}"
+            f"sink residual variance <= 0 at t={_first_sample(s_kk <= 0, block)}"
         )
     # Sigma_{.|k} per pair, its sink row and column exactly 0, so a pair
     # whose w lies on the sink alone gives q = 0 exactly
@@ -440,7 +462,7 @@ def _pair_values(
     if np.any(s_jj <= 0):
         raise DegenerateVarianceError(
             "conditional source residual variance <= 0 at "
-            f"t={_first_sample(s_jj <= 0, time_indices)}"
+            f"t={_first_sample(s_jj <= 0, block)}"
         )
     # one product per (t, pair) gives w Sigma[:, k] and w Sigma_{.|k}
     w = np.swapaxes(w, 1, 2)  # (T, pairs, F, n)
@@ -466,9 +488,8 @@ def pairwise_maps(
     Fits one full system over all channels and, per source, one
     restricted system without that source, so n channels cost
     n + n*(n-1) equation fits instead of refitting per pair, all in one
-    ROFR search (``fit_systems``).  All directed
-    pairs are then evaluated together, ``_TIME_BLOCK`` grid times at a
-    time.
+    ROFR search.  All directed pairs are then evaluated together by one
+    ``_pair_values`` call.
     """
     config = config or CgcConfig()
     channels = list(channels)
@@ -477,23 +498,14 @@ def pairwise_maps(
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
     rests = [[c for c in channels if c != src] for src in channels]
-    full, *fits = fit_systems(signals, [channels] + rests, config)
-    # only the lag matrices: a whole fit holds its models too
-    restricted = [
-        (src, rest, fit.lag_matrices) for src, rest, fit in zip(channels, rests, fits)
-    ]
-    del fits
-    pairs = [(src, sink) for src, rest, _ in restricted for sink in rest]
-    values = np.empty((len(pairs), time_axis.size, freqs.size))
-    for t0 in range(0, time_axis.size, _TIME_BLOCK):
-        block = time_indices[t0 : t0 + _TIME_BLOCK]
-        spectra = [
-            (src, rest, _raw_spectrum(lags, sampling_rate, freqs, block))
-            for src, rest, lags in restricted
-        ]
-        values[:, t0 : t0 + _TIME_BLOCK] = _pair_values(
-            full, spectra, sampling_rate, freqs, block, t0
-        )
+    full_models, *rest_models = _fit_models(signals, [channels] + rests, config)
+    full = _assemble_system(channels, full_models, config)
+    # only the restricted lag matrices: nothing reads their covariances
+    lags = [_lag_matrices(r, m, config.lags) for r, m in zip(rests, rest_models)]
+    del rest_models
+    restricted = list(zip(channels, rests, lags))
+    pairs = [(src, sink) for src, rest in zip(channels, rests) for sink in rest]
+    values = _pair_values(full, restricted, sampling_rate, freqs, time_indices)
     return {
         (source, sink): CgcMap(
             source=source,
@@ -529,12 +541,12 @@ def tf_cgc_map(
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    restricted, full = fit_systems(
-        signals, [[sink] + conditioning, [sink, source] + conditioning], config
-    )
-    spectrum = _raw_spectrum(restricted.lag_matrices, sampling_rate, freqs, time_indices)
+    kept, channels = [sink] + conditioning, [sink, source] + conditioning
+    rest_models, full_models = _fit_models(signals, [kept, channels], config)
+    full = _assemble_system(channels, full_models, config)
+    lags = _lag_matrices(kept, rest_models, config.lags)[:, :, :1]
     values = _pair_values(
-        full, [(source, [sink], spectrum[:, :, :1])], sampling_rate, freqs, time_indices
+        full, [(source, [sink], lags)], sampling_rate, freqs, time_indices
     )
     return CgcMap(
         source=source,
@@ -580,11 +592,11 @@ def significance_test(
     time_indices = cgc_map.time_axis - 1
     fs, freqs = cgc_map.sampling_rate, cgc_map.freq_axis
     # the restricted system excludes the source, so no shift changes it:
-    # one fit and one spectrum serve every surrogate
+    # one fit serves every surrogate
     kept = [sink] + conditioning
-    lags = fit_system(signals, kept, config).lag_matrices
-    rows = _raw_spectrum(lags, fs, freqs, time_indices)[:, :, :1]
-    restricted = [(source, [sink], rows)]
+    (models,) = _fit_models(signals, [kept], config)
+    lags = _lag_matrices(kept, models, config.lags)[:, :, :1]
+    restricted = [(source, [sink], lags)]
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):
         shift = int(rng.integers(min_shift, n - min_shift + 1))

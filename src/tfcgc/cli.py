@@ -26,6 +26,7 @@ from .causality import (
 )
 from .identify import EmptyModelError
 from .images import CausalityImage, InvalidCropError, export_image
+from .pipeline import ConfigError
 
 log = logging.getLogger("tfcgc")
 
@@ -43,10 +44,6 @@ NUMERIC_ERRORS = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
-
-
-class ConfigError(ValueError):
-    """Bad config file: unknown section/key or unparsable value."""
 
 
 #: config file schema: section -> key -> (RunConfig/SynthSpec field, parser)
@@ -298,26 +295,8 @@ def _cmd_eval(args) -> int:
     if len(filtered) == 0:
         raise pipeline.DataError("no test trials in manifest")
     pipeline.check_crop_parity(filtered, config)
-    images, _, ids, groups = pipeline.trial_images(filtered, config)
-    predictions = [
-        boosting.predict_trial(ensemble, images[rows]) for rows in groups
-    ]
-    truths = [t.label for t in filtered.trials]
-    report = boosting.evaluate(predictions, truths)
-    payload = {
-        "tp": report.tp,
-        "fp": report.fp,
-        "tn": report.tn,
-        "fn": report.fn,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-        "accuracy": report.accuracy,
-        "kappa": report.kappa,
-        "per_trial": [
-            {"trial_id": tid, "predicted": int(p), "truth": int(t)}
-            for tid, p, t in zip(ids, predictions, truths)
-        ],
-    }
+    images, _, _, groups = pipeline.trial_images(filtered, config)
+    payload = pipeline.evaluation_report(ensemble, images, groups, filtered.trials)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         gridio.atomic_write(args.out, (text + "\n").encode())

@@ -40,6 +40,11 @@ class DataError(ValueError):
     """Malformed manifests, trial files, or configuration data."""
 
 
+class ConfigError(ValueError):
+    """Bad configuration: unknown section or key, unparsable value, or a
+    value outside its range."""
+
+
 class InstabilityError(ValueError):
     """A synthetic generator would be unstable at some time point."""
 
@@ -98,6 +103,26 @@ class RunConfig:
     threads: int = 1
     out_dir: str | None = None
     export_graymaps: bool = False
+
+    def __post_init__(self):
+        """Reject a key outside its range, naming it, before anything runs."""
+        for section, key, holds, need in (
+            ("causality", "orders", min(self.orders, default=0) >= 1, "at least 1 each"),
+            ("causality", "scale", self.scale >= 0, "at least 0"),
+            ("causality", "lags", self.lags >= 1, "at least 1"),
+            ("causality", "forgetting", 0 < self.forgetting < 1, "in (0, 1)"),
+            ("causality", "init_window", self.init_window >= 1, "at least 1"),
+            ("causality", "regularization", (self.regularization or 0) >= 0, "at least 0"),
+            ("causality", "time_decimation", self.time_decimation >= 1, "at least 1"),
+            ("classifier", "batch_size", self.batch_size >= 1, "at least 1"),
+            ("classifier", "max_epochs", self.max_epochs >= 1, "at least 1"),
+            ("classifier", "chi", self.chi >= 1, "at least 1"),
+            ("run", "threads", self.threads >= 1, "at least 1"),
+        ):
+            if not holds:
+                raise ConfigError(
+                    f"[{section}] {key} must be {need}, got {getattr(self, key)!r}"
+                )
 
     def cgc_config(self) -> CgcConfig:
         return CgcConfig(
@@ -431,20 +456,8 @@ def check_architecture(config: RunConfig, sampling_rate: float) -> None:
 
     An image has one column per grid time of a crop,
     ceil(crop samples / time_decimation); every convolution and pooling
-    stage must leave at least one. The decimation and the training loop
-    counts must be positive.
+    stage must leave at least one.
     """
-    for section, key in (
-        ("causality", "time_decimation"),
-        ("classifier", "batch_size"),
-        ("classifier", "max_epochs"),
-        ("classifier", "chi"),
-    ):
-        value = getattr(config, key)
-        if value < 1:
-            raise convnet.ArchitectureError(
-                f"[{section}] {key} must be at least 1, got {value}"
-            )
     cnn = config.convnet_config()
     crop = round(sampling_rate * config.crop_seconds)
     width = -(-crop // config.time_decimation)
@@ -498,30 +511,26 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     }
     te_images = None
     if len(test_set) > 0:
-        te_images, _, te_ids, te_groups = trial_images(test_set, config)
-        predictions = []
-        truths = []
-        for i, rows in enumerate(te_groups):
-            label = boosting.predict_trial(ensemble, te_images[rows])
-            predictions.append(label)
-            truths.append(test_set.trials[i].label)
-        eval_report = boosting.evaluate(predictions, truths)
-        report["evaluation"] = {
-            "tp": eval_report.tp,
-            "fp": eval_report.fp,
-            "tn": eval_report.tn,
-            "fn": eval_report.fn,
-            "sensitivity": eval_report.sensitivity,
-            "specificity": eval_report.specificity,
-            "accuracy": eval_report.accuracy,
-            "kappa": eval_report.kappa,
-            "per_trial": [
-                {"trial_id": tid, "predicted": int(p), "truth": int(t)}
-                for tid, p, t in zip(te_ids, predictions, truths)
-            ],
-        }
+        te_images, _, _, te_groups = trial_images(test_set, config)
+        report["evaluation"] = evaluation_report(
+            ensemble, te_images, te_groups, test_set.trials
+        )
     if config.out_dir:
         _write_artifacts(config, report, ensemble, tr_images, te_images)
+    return report
+
+
+def evaluation_report(ensemble, images, groups, trials) -> dict:
+    """Each trial's vote over its crop rows ``groups`` of ``images``, scored."""
+    predictions = [boosting.predict_trial(ensemble, images[rows]) for rows in groups]
+    truths = [t.label for t in trials]
+    ev = boosting.evaluate(predictions, truths)
+    keys = ("tp", "fp", "tn", "fn", "sensitivity", "specificity", "accuracy", "kappa")
+    report = {key: getattr(ev, key) for key in keys}
+    report["per_trial"] = [
+        {"trial_id": t.trial_id, "predicted": int(p), "truth": int(t.label)}
+        for t, p in zip(trials, predictions)
+    ]
     return report
 
 

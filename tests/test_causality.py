@@ -11,7 +11,6 @@ from tfcgc.causality import (
     LevelUnachievableError,
     NormalizedSystem,
     _pair_values,
-    _raw_spectrum,
     combine_transfer,
     conditional_causality,
     fit_system,
@@ -447,7 +446,7 @@ class TestSignificance:
         with pytest.raises(LevelUnachievableError):
             significance_test(m, sig, CHEAP, n_surrogates=200, level=1e-6)
 
-    def test_restricted_spectrum_once(self, monkeypatch):
+    def test_restricted_system_fitted_once(self, monkeypatch):
         # a coupling weak enough that only part of the map is significant
         rng = np.random.default_rng(12)
         y, e, z = rng.standard_normal((3, 250))
@@ -466,17 +465,20 @@ class TestSignificance:
             surr[1] = np.roll(surr[1], shift)
             ensemble.append(tf_cgc_map(surr, 1, 0, [2], 250.0, CHEAP).values)
         expected = m.values > np.quantile(ensemble, 0.95, axis=0, method="higher")
-        calls = []
-        real = causality.spectral_matrices
+        fitted = []
+        real = causality.fit_equations
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(signals, equations, rofr):
+            fitted.extend((target, tuple(preds)) for target, preds, _ in equations)
+            return real(signals, equations, rofr)
 
-        monkeypatch.setattr(causality, "spectral_matrices", counting)
+        monkeypatch.setattr(causality, "fit_equations", recording)
         mask = significance_test(m, sig, CHEAP, n_surrogates=19, level=0.05, seed=3)
-        # one restricted spectrum for the test, one full spectrum per surrogate
-        assert len(calls) == 1 + 19
+        # the restricted system (sink 0 given 2, no source 1) once for the
+        # test, the full system once per surrogate
+        assert sorted(fitted) == sorted(
+            [(0, (2,)), (2, (0,))] + 19 * [(0, (1, 2)), (1, (0, 2)), (2, (0, 1))]
+        )
         np.testing.assert_array_equal(mask, expected)
         assert 0 < mask.sum() < mask.size
 
@@ -503,9 +505,9 @@ class TestPairValues:
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
-        spectrum = _raw_spectrum(restricted.lag_matrices, fs, freqs, np.arange(n))
+        lags = restricted.lag_matrices
         with pytest.raises(ConditioningError) as info:
-            _pair_values(full, [(1, [0], spectrum)], fs, freqs, np.arange(n))
+            _pair_values(full, [(1, [0], lags)], fs, freqs, np.arange(n))
         assert (info.value.t, info.value.f) == (3, 2)
 
     def test_degenerate_conditional_source_variance(self):
@@ -514,9 +516,9 @@ class TestPairValues:
         full = make_fitted_stub(np.tile(np.ones((2, 2)), (n, 1, 1)))
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([8.0, 10.0])
-        spectrum = _raw_spectrum(restricted.lag_matrices, 250.0, freqs, np.arange(n))
+        lags = restricted.lag_matrices
         with pytest.raises(DegenerateVarianceError, match="conditional source"):
-            _pair_values(full, [(1, [0], spectrum)], 250.0, freqs, np.arange(n))
+            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
 
     def test_indefinite_covariance_rejected(self):
         # Sigma given the sink is indefinite over the conditioning pair, so
@@ -531,11 +533,9 @@ class TestPairValues:
         lag[:, 0, 0, 2] = -0.5
         restricted = make_fitted_stub(np.tile(np.eye(3), (n, 1, 1)), lag)
         freqs = np.array([8.0, 10.0])
-        spectrum = _raw_spectrum(restricted.lag_matrices, 250.0, freqs, np.arange(n))
+        lags = restricted.lag_matrices[:, :, :1]
         with pytest.raises(DegenerateSpectrumError):
-            _pair_values(
-                full, [(1, [0], spectrum[:, :, :1])], 250.0, freqs, np.arange(n)
-            )
+            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
 
 
 def explicit_pair_oracle(full, restricted, source, sink, fs, freqs, times):
@@ -565,17 +565,16 @@ def explicit_pair_oracle(full, restricted, source, sink, fs, freqs, times):
 
 
 class TestBatchedPairs:
-    def test_fullscale_crop_matches_explicit_path(self):
+    def check_crop_against_explicit_path(self, cfg, times):
         spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
         trials = pipeline.bandpass(pipeline.synth_generate(spec, seed=3), 6.0, 15.0)
         sig = trials.trials[0].data[:5]
-        cfg = CgcConfig()
         freqs = cfg.freq_grid(250.0)
         maps = pairwise_maps(sig, range(5), 250.0, cfg)
         assert len(maps) == 20
         # fits are deterministic: refitting gives the systems the maps used
         full = fit_system(sig, range(5), cfg)
-        times = np.arange(0, 500, 7)
+        rows = np.searchsorted(maps[(0, 1)].time_axis - 1, times)
         for source in range(5):
             restricted = fit_system(
                 sig, [c for c in range(5) if c != source], cfg
@@ -584,13 +583,84 @@ class TestBatchedPairs:
                 expected = explicit_pair_oracle(
                     full, restricted, source, sink, 250.0, freqs, times
                 )
-                got = maps[(source, sink)].values[times]
+                got = maps[(source, sink)].values[rows]
                 # where no selected term carries the source to the sink the
                 # explicit map is exactly 0 (log(total / intrinsic) rounds
                 # q ~ 1e-28 away; log1p keeps it), so such a map is held to
                 # 1e-15 absolute
                 scale = max(np.abs(expected).max(), 1e-6)
                 assert np.abs(got - expected).max() <= 1e-9 * scale
+
+    def test_fullscale_crop_matches_explicit_path(self):
+        self.check_crop_against_explicit_path(CgcConfig(), np.arange(0, 500, 7))
+
+    def test_criterion15_crop_matches_explicit_path(self):
+        cfg = CgcConfig(orders=(3,), lags=2, time_decimation=10)
+        self.check_crop_against_explicit_path(cfg, np.arange(0, 500, 10))
+
+    def test_pair_order_permutes_rows(self):
+        spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
+        trials = pipeline.bandpass(pipeline.synth_generate(spec, seed=4), 6.0, 15.0)
+        sig = trials.trials[0].data[:4, :200]
+        channels = [0, 1, 2, 3]
+        rests = [[c for c in channels if c != src] for src in channels]
+        full, *fits = causality.fit_systems(sig, [channels] + rests, CHEAP)
+        freqs = CHEAP.freq_grid(250.0)
+        times = np.arange(0, 200, 3)
+        items = [
+            (src, fit.channel_indices, fit.lag_matrices)
+            for src, fit in zip(channels, fits)
+        ]
+        forward = _pair_values(full, items, 250.0, freqs, times)
+        backward = _pair_values(
+            full,
+            [(src, rest[::-1], lag[:, :, ::-1]) for src, rest, lag in items[::-1]],
+            250.0,
+            freqs,
+            times,
+        )
+        assert forward.shape == (12, times.size, freqs.size)
+        assert np.all(forward.max(axis=(1, 2)) > 0)
+        np.testing.assert_array_equal(backward, forward[::-1])
+
+    def test_no_spectral_matrices_call(self, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectral_matrices called")
+
+        monkeypatch.setattr(causality, "spectral_matrices", no_spectrum)
+        rng = np.random.default_rng(24)
+        maps = pairwise_maps(rng.standard_normal((3, 150)), range(3), 250.0, CHEAP)
+        assert len(maps) == 6
+
+    def test_only_full_covariance_computed(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        sig = rng.standard_normal((5, 200))
+        channels = list(range(5))
+        calls = []
+        real = causality.recursive_covariance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(causality, "recursive_covariance", counting)
+        maps = pairwise_maps(sig, channels, 250.0, CHEAP)
+        # the full system's 5 * 6 / 2 covariance traces, none restricted
+        assert len(calls) == 15
+        # every system fitted whole, as ``fit_systems`` returns it
+        rests = [[c for c in channels if c != src] for src in channels]
+        full, *fits = causality.fit_systems(sig, [channels] + rests, CHEAP)
+        items = [
+            (src, fit.channel_indices, fit.lag_matrices)
+            for src, fit in zip(channels, fits)
+        ]
+        expected = _pair_values(
+            full, items, 250.0, CHEAP.freq_grid(250.0), np.arange(200)
+        )
+        pairs = [(src, sink) for src, rest in zip(channels, rests) for sink in rest]
+        assert list(maps) == pairs
+        for pair, values in zip(pairs, expected):
+            np.testing.assert_array_equal(maps[pair].values, values)
 
     def test_partial_last_block(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -603,7 +673,7 @@ class TestBatchedPairs:
         for pair in whole:
             np.testing.assert_array_equal(blocked[pair].values, whole[pair].values)
 
-    def test_singular_cell_in_later_block(self, monkeypatch):
+    def test_singular_cell_in_later_block(self):
         # the rotation of TestPairValues, at a time in the third block
         fs = 250.0
         theta = 2 * np.pi * 10.0 / fs
@@ -616,11 +686,9 @@ class TestBatchedPairs:
         lag[t_bad, 0] = rot
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
-        def fake_fit(signals, systems, config):
-            return [full if len(channels) == 2 else restricted for channels in systems]
-
-        monkeypatch.setattr(causality, "fit_systems", fake_fit)
-        cfg = CgcConfig(freq_step=2.0)  # 6, 8, 10, 12 Hz
+        freqs = np.array([6.0, 8.0, 10.0, 12.0])
         with pytest.raises(ConditioningError) as info:
-            pairwise_maps(np.zeros((2, n)), [0, 1], fs, cfg)
+            _pair_values(
+                full, [(1, [0], restricted.lag_matrices)], fs, freqs, np.arange(n)
+            )
         assert (info.value.t, info.value.f) == (t_bad, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfcgc import gridio, pipeline
+from tfcgc import cli, gridio, pipeline
 from tfcgc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -384,4 +384,66 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.strip() == message
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def saved_trials(tmp_path_factory):
+    ts = pipeline.synth_generate(
+        pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=0
+    )
+    data_dir = tmp_path_factory.mktemp("data")
+    return pipeline.save_trials(ts, data_dir), str(data_dir / "train_left_000.csv")
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("command", ["run", "train", "image", "eval", "causality"])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("[causality]\nlags = 0\n", "[causality] lags must be at least 1, got 0"),
+            (
+                "[causality]\norders = 3, 0\n",
+                "[causality] orders must be at least 1 each, got (3, 0)",
+            ),
+            ("[causality]\nscale = -1\n", "[causality] scale must be at least 0, got -1"),
+            (
+                "[causality]\nforgetting = 1.5\n",
+                "[causality] forgetting must be in (0, 1), got 1.5",
+            ),
+            (
+                "[causality]\ninit_window = 0\n",
+                "[causality] init_window must be at least 1, got 0",
+            ),
+            (
+                "[causality]\nregularization = -1\n",
+                "[causality] regularization must be at least 0, got -1.0",
+            ),
+            (
+                "[causality]\ntime_decimation = 0\n",
+                "[causality] time_decimation must be at least 1, got 0",
+            ),
+            ("[run]\nthreads = 0\n", "[run] threads must be at least 1, got 0"),
+        ],
+    )
+    def test_rejected_before_imaging(
+        self, tmp_path, capsys, monkeypatch, saved_trials, command, settings, message
+    ):
+        def no_imaging(*args, **kwargs):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
+        monkeypatch.setattr(cli, "tf_cgc_map", no_imaging)
+        manifest, trial = saved_trials
+        inputs = {
+            "causality": ["--trial", trial, "--source", "C4", "--sink", "C3"],
+            "eval": ["--manifest", manifest, "--model", str(tmp_path / "model.json")],
+        }.get(command, ["--manifest", manifest])
+        cfg = write_cfg(tmp_path, settings)
+        out = str(tmp_path / "out")
+        code = main([command, "--config", cfg, "--out", out] + inputs)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == f"error: {message}"
         assert "Traceback" not in err
