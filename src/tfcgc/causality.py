@@ -249,26 +249,31 @@ def spectral_matrices(
     return _spectrum(zero_lag, lag, sampling_rate, freqs)
 
 
-def _spectrum(zero_lag, lags, sampling_rate: float, freqs) -> np.ndarray:
+def _spectrum(zero_lag, lags, sampling_rate: float, freqs, out=None) -> np.ndarray:
     """(T, F, r, n) complex zero_lag - sum_k lags[:, k] e^{-i 2 pi k f / f_s}
     of (T, K, r, n) ``lags`` and a (T or 1, r, n) ``zero_lag``, as two real
     (F, K) @ (K, r*n) products per time (cos, sin), so each time's values
-    are the same whatever the other times of the call."""
+    are the same whatever the other times of the call.  The products are
+    written straight into the real and imaginary parts of ``out`` (a new
+    array if None), which is returned."""
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs < 0) or np.any(freqs > sampling_rate / 2):
         raise InvalidRangeError("frequencies must lie in [0, f_s / 2]")
     n_times, n_lags = lags.shape[:2]
     angle = 2 * np.pi * np.outer(freqs, np.arange(1, n_lags + 1)) / sampling_rate
     lags = lags.reshape(n_times, n_lags, -1)
-    shape = (n_times, freqs.size) + zero_lag.shape[1:]
-    out = np.empty(shape, dtype=complex)
-    out.real = zero_lag[:, None] - (np.cos(angle) @ lags).reshape(shape)
-    out.imag = (np.sin(angle) @ lags).reshape(shape)
+    if out is None:
+        out = np.empty((n_times, freqs.size) + zero_lag.shape[1:], dtype=complex)
+    flat = (n_times, freqs.size, -1)
+    np.matmul(np.cos(angle), lags, out=out.real.reshape(flat))
+    np.subtract(zero_lag[:, None], out.real, out=out.real)
+    np.matmul(np.sin(angle), lags, out=out.imag.reshape(flat))
     return out
 
 
-def _times_inverse(rows: np.ndarray, n: int, what: str, t0: int = 0) -> np.ndarray:
-    """The rows after the first n of ``rows @ M^-1``, M = ``rows[..., :n, :]``.
+def _times_inverse(rows, n: int, what: str, t0: int = 0, out=None) -> np.ndarray:
+    """The rows after the first n of ``rows @ M^-1``, M = ``rows[..., :n, :]``,
+    a view of the product written into ``out`` (a new array if None).
 
     The first n rows, M M^-1, must lie within 1e-8 of I: the one
     conditioning test of every inverse.  ``t0`` is the grid time of
@@ -277,7 +282,7 @@ def _times_inverse(rows: np.ndarray, n: int, what: str, t0: int = 0) -> np.ndarr
         inv = np.linalg.inv(rows[..., :n, :])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular {what} matrix on the grid") from exc
-    prod = rows @ inv
+    prod = np.matmul(rows, inv, out=out)
     resid = prod[..., :n, :]
     resid -= np.eye(n)
     resid = np.abs(resid).max(axis=(-2, -1))
@@ -362,11 +367,12 @@ class CgcMap:
             raise InvalidRangeError("map value dimensions do not match axes")
 
 
-# grid times per block of `_pair_values`.  At 10 a full-scale crop's
-# stacked spectrum and its product with Abar^-1, each (times, F, 5 + 20
-# rows, 5) complex, are 1.8 MB.  Pair evaluation of a full-scale crop
-# took 260, 259 and 268 ms at blocks of 5, 10 and 20 times, and of a
-# criterion-15 crop 30.0, 29.7 and 44.1 ms (2-CPU VM, 2 MB L2 per core).
+# grid times per block of `_pair_values`.  At 10 a crop's stacked
+# spectrum and its product with Abar^-1, each (times, F, 5 + 20 rows, 5)
+# complex, are 1.8 MB; a call makes the two once and every block writes
+# into them.  Pair evaluation of a full-scale crop took 260, 259 and
+# 268 ms at blocks of 5, 10 and 20 times, and of a criterion-15 crop
+# 30.0, 29.7 and 44.1 ms (2-CPU VM, 2 MB L2 per core).
 _TIME_BLOCK = 10
 
 
@@ -409,7 +415,9 @@ def _pair_values(
 
     Per block of ``_TIME_BLOCK`` grid times, the block's full lag matrices
     and every sink row are stacked into one real (times, K, n + pairs, n)
-    array; its spectrum holds Abar and every v.
+    array; its spectrum holds Abar and every v.  The spectrum and its
+    product with Abar^-1 go into two buffers made once per call, the last
+    partial block using a leading slice of each.
     """
     slot = {c: i for i, c in enumerate(full.channel_indices)}
     n = len(slot)
@@ -425,21 +433,19 @@ def _pair_values(
         places.append((slice(row, row + len(sinks)), columns, lags))
         row += len(sinks)
     values = np.empty((len(pairs), time_indices.size, len(freqs)))
+    size = (min(_TIME_BLOCK, time_indices.size), len(freqs), n + k.size, n)
+    spectrum, product = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
     for t0 in range(0, time_indices.size, _TIME_BLOCK):
         block = time_indices[t0 : t0 + _TIME_BLOCK]
         rows = np.zeros(block.shape + full.lag_matrices.shape[1:2] + (n + k.size, n))
         rows[:, :, :n] = full.lag_matrices[block]
         for at, columns, lags in places:
             rows[:, :, at, columns] = lags[block]
-        # the spectrum dies in the call; w (a view of the product) is
-        # dropped before the next block, so no two blocks' arrays meet
-        w = _times_inverse(
-            _spectrum(zero_lag, rows, sampling_rate, freqs), n, "coefficient", t0
-        )
+        spec = _spectrum(zero_lag, rows, sampling_rate, freqs, spectrum[: block.size])
+        w = _times_inverse(spec, n, "coefficient", t0, product[: block.size])
         values[:, t0 : t0 + _TIME_BLOCK] = _block_values(
             full.residual_covariance[block], w, k, j, block
         )
-        del w
     return values
 
 

@@ -116,7 +116,11 @@ _SYNTH_SCHEMA = {
 
 def _read_config_file(path):
     parser = configparser.ConfigParser()
-    read = parser.read([str(path)])
+    try:
+        read = parser.read([str(path)])
+    except configparser.Error as exc:  # its text names the file and line
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"malformed config file: {detail}") from exc
     if not read:
         raise pipeline.DataError(f"cannot read config file: {path}")
     known = {**_RUN_SCHEMA, **_SYNTH_SCHEMA}
@@ -211,6 +215,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_causality(args) -> int:
     config = build_run_config(args)
+    if args.source == args.sink:
+        raise ConfigError(f"--source and --sink must differ, both are {args.sink}")
     data, names = pipeline._load_trial_csv(args.trial)
     electrodes = list(config.electrodes)
     missing = [e for e in electrodes if e not in names]

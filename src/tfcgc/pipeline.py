@@ -393,6 +393,11 @@ def trial_images(
     trial i, in crop order.
     """
     electrodes = list(config.electrodes)
+    if sorted(electrodes) != sorted(ELECTRODE_ORDER):
+        raise ConfigError(
+            f"[data] electrodes must list each of {', '.join(ELECTRODE_ORDER)} "
+            f"exactly once, got {config.electrodes!r}"
+        )
     missing = [e for e in electrodes if e not in trial_set.channel_names]
     if missing:
         raise DataError(f"channels missing from data: {missing}")

@@ -662,16 +662,38 @@ class TestBatchedPairs:
         for pair, values in zip(pairs, expected):
             np.testing.assert_array_equal(maps[pair].values, values)
 
-    def test_partial_last_block(self, monkeypatch):
+    @pytest.mark.parametrize("block", [3, 10])
+    def test_partial_last_block(self, monkeypatch, block):
         rng = np.random.default_rng(21)
         sig = rng.standard_normal((4, 155))
-        assert 155 % causality._TIME_BLOCK != 0
+        assert 155 % block != 0
+        monkeypatch.setattr(causality, "_TIME_BLOCK", block)
         blocked = pairwise_maps(sig, range(4), 250.0, CHEAP)
         monkeypatch.setattr(causality, "_TIME_BLOCK", 10**6)
         whole = pairwise_maps(sig, range(4), 250.0, CHEAP)
         assert blocked.keys() == whole.keys()
         for pair in whole:
             np.testing.assert_array_equal(blocked[pair].values, whole[pair].values)
+
+    def test_blocks_share_one_spectrum_buffer(self, monkeypatch):
+        # the first block's spectrum and w are kept alive, so a later block
+        # reuses their memory only if the call holds one buffer for each
+        kept = []
+        real = causality._times_inverse
+
+        def keeping(rows, *args, **kwargs):
+            w = real(rows, *args, **kwargs)
+            kept.append((rows, w))
+            return w
+
+        monkeypatch.setattr(causality, "_times_inverse", keeping)
+        rng = np.random.default_rng(22)
+        pairwise_maps(rng.standard_normal((4, 155)), range(4), 250.0, CHEAP)
+        assert len(kept) == -(-155 // causality._TIME_BLOCK)
+        (rows0, w0), *later = kept
+        for rows, w in later:
+            assert np.shares_memory(rows, rows0)
+            assert np.shares_memory(w, w0)
 
     def test_singular_cell_in_later_block(self):
         # the rotation of TestPairValues, at a time in the third block

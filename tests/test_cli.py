@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfcgc import cli, gridio, pipeline
+from tfcgc import causality, cli, gridio, pipeline
 from tfcgc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -52,6 +52,25 @@ class TestConfigFile:
     def test_bad_value(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nseed = notanumber\n")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[causality]\nlags = 2\n[causality]\norders = 3\n", "[line 3]"),
+            ("[causality]\nlags = 2\nlags = 3\n", "[line 3]"),
+            ("lags = 2\n[causality]\n", "line: 1"),
+        ],
+        ids=["duplicate-section", "duplicate-key", "no-section-header"],
+    )
+    def test_malformed_file(self, tmp_path, capsys, text, where):
+        cfg = write_cfg(tmp_path, text)
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: malformed config file: ")
+        assert repr(cfg) in err and where in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(
@@ -177,6 +196,25 @@ class TestCausalityCommand:
             ]
         )
         assert code == EXIT_DATA
+
+    def test_same_source_and_sink(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started")
+
+        monkeypatch.setattr(causality, "fit_systems", no_fit)
+        monkeypatch.setattr(pipeline, "_load_trial_csv", no_fit)
+        code = main(
+            [
+                "causality",
+                "--trial", str(tmp_path / "trial.csv"),
+                "--source", "C3",
+                "--sink", "C3",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == "error: --source and --sink must differ, both are C3"
+        assert "Traceback" not in err
 
     def test_flat_sink_channel(self, tmp_path, capsys):
         ts = pipeline.synth_generate(
@@ -447,3 +485,45 @@ class TestConfigRanges:
         assert code == EXIT_USAGE
         assert err.strip() == f"error: {message}"
         assert "Traceback" not in err
+
+
+class TestConfigElectrodes:
+    @pytest.mark.parametrize("command", ["run", "train", "image", "eval"])
+    def test_incomplete_set_rejected_before_imaging(
+        self, tmp_path, capsys, monkeypatch, saved_trials, command
+    ):
+        def no_imaging(*args, **kwargs):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
+        monkeypatch.setattr(gridio, "load_ensemble", lambda path: None)
+        manifest, _ = saved_trials
+        inputs = []
+        if command == "eval":  # eval reads the test split
+            spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0, split="test")
+            manifest = pipeline.save_trials(
+                pipeline.synth_generate(spec, seed=0), tmp_path / "test_data"
+            )
+            inputs = ["--model", str(tmp_path / "model.json")]
+        inputs += ["--manifest", manifest]
+        cfg = write_cfg(tmp_path, "[data]\nelectrodes = Fz, C3\n")
+        out = str(tmp_path / "out")
+        code = main([command, "--config", cfg, "--out", out] + inputs)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == (
+            "error: [data] electrodes must list each of Fz, C3, Cz, C4, Pz "
+            "exactly once, got ('Fz', 'C3')"
+        )
+        assert "Traceback" not in err
+
+    def test_causality_accepts_any_electrodes(self, tmp_path, saved_trials):
+        _, trial = saved_trials
+        cfg = write_cfg(tmp_path, CHEAP_CFG + "[data]\nelectrodes = Fz, C3\n")
+        out = str(tmp_path / "map.grid")
+        code = main(
+            ["causality", "--config", cfg, "--trial", trial, "--source", "C3",
+             "--sink", "Fz", "--out", out]
+        )
+        assert code == EXIT_OK
+        assert gridio.read_grid(out)[0]["values"].shape == (500, 90)
