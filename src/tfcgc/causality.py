@@ -97,7 +97,7 @@ class CgcConfig:
         grid = self.freq_lo + self.freq_step * np.arange(n_bins)
         if grid[-1] > sampling_rate / 2:
             raise InvalidRangeError(
-                f"grid reaches {grid[-1]} Hz, beyond Nyquist {sampling_rate / 2} Hz"
+                f"grid reaches {grid[-1]:g} Hz, beyond Nyquist {sampling_rate / 2:g} Hz"
             )
         return grid
 
@@ -145,22 +145,24 @@ def fit_systems(signals: np.ndarray, systems, config: CgcConfig) -> list[FittedS
     ]
 
 
-def _fit_models(signals: np.ndarray, systems, config: CgcConfig):
+def _fit_models(signals: np.ndarray, systems, config: CgcConfig, targets=None):
     """The fitted equations of each system (a list of channels), one model
-    per channel in system order, from one ROFR search."""
+    per target channel (by default every channel of the system), from one
+    ROFR search."""
+    targets = systems if targets is None else targets
     equations = []
-    for channels in systems:
+    for channels, fitted in zip(systems, targets):
         lags = [config.lags] * len(channels)
         dictionary = build_dictionary(config.orders, config.scale, lags)
-        equations += [(c, [p for p in channels if p != c], dictionary) for c in channels]
+        equations += [(c, [p for p in channels if p != c], dictionary) for c in fitted]
     models = iter(fit_equations(signals, equations, config.rofr))
-    return [[next(models) for _ in channels] for channels in systems]
+    return [[next(models) for _ in fitted] for fitted in targets]
 
 
 def _lag_matrices(channel_indices, models, n_lags: int) -> np.ndarray:
-    """(N, K, n, n) raw lag matrices of one system's fitted equations."""
+    """(N, K, equations, n) raw lag rows of a system's fitted equations."""
     n_vars = len(channel_indices)
-    lag_mats = np.zeros((models[0].n_samples, n_lags, n_vars, n_vars))
+    lag_mats = np.zeros((models[0].n_samples, n_lags, len(models), n_vars))
     for i, model in enumerate(models):
         for (c, k), series in model.timevarying_coefficients.items():
             lag_mats[:, k - 1, i, channel_indices.index(c)] = series
@@ -368,11 +370,12 @@ class CgcMap:
 
 
 # grid times per block of `_pair_values`.  At 10 a crop's stacked
-# spectrum and its product with Abar^-1, each (times, F, 5 + 20 rows, 5)
-# complex, are 1.8 MB; a call makes the two once and every block writes
-# into them.  Pair evaluation of a full-scale crop took 260, 259 and
-# 268 ms at blocks of 5, 10 and 20 times, and of a criterion-15 crop
-# 30.0, 29.7 and 44.1 ms (2-CPU VM, 2 MB L2 per core).
+# spectrum and its product with Abar^-1, each (times, F, 5 + pairs rows, 5)
+# complex, are 1.8 MB for all 20 pairs and 1.37 MB for an image's 14; a
+# call makes the two once and every block writes into them.  Pair
+# evaluation of a full-scale crop (20 pairs) took 260, 259 and 268 ms at
+# blocks of 5, 10 and 20 times, and of a criterion-15 crop 30.0, 29.7 and
+# 44.1 ms (2-CPU VM, 2 MB L2 per core).
 _TIME_BLOCK = 10
 
 
@@ -488,29 +491,42 @@ def pairwise_maps(
     channels,
     sampling_rate: float,
     config: CgcConfig | None = None,
+    pairs=None,
 ) -> dict[tuple[int, int], CgcMap]:
-    """All ordered-pair maps among ``channels``, conditioning on the rest.
+    """Maps of the ordered ``(source, sink)`` ``pairs`` among ``channels``
+    (default: every ordered pair), each conditioning on the other channels.
 
-    Fits one full system over all channels and, per source, one
-    restricted system without that source, so n channels cost
-    n + n*(n-1) equation fits instead of refitting per pair, all in one
-    ROFR search.  All directed pairs are then evaluated together by one
-    ``_pair_values`` call.
+    Fits one full system over all channels and, per source, the
+    restricted system without that source at its requested sinks only,
+    so n channels and all pairs cost n + n*(n-1) equation fits instead of
+    refitting per pair, all in one ROFR search.  The pairs are then
+    evaluated together by one ``_pair_values`` call.
     """
     config = config or CgcConfig()
     channels = list(channels)
+    every = {(s, k) for s in channels for k in channels if k != s}
+    wanted = every if pairs is None else set(map(tuple, pairs))
+    if not wanted <= every:
+        raise InvalidConfigurationError(
+            f"pairs {sorted(wanted - every)} must join two different channels "
+            f"of {channels}"
+        )
     freqs = config.freq_grid(sampling_rate)
     n = signals.shape[1]
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
-    rests = [[c for c in channels if c != src] for src in channels]
-    full_models, *rest_models = _fit_models(signals, [channels] + rests, config)
+    sinks = {src: [k for k in channels if (src, k) in wanted] for src in channels}
+    sources = [src for src in channels if sinks[src]]
+    rests = [[c for c in channels if c != src] for src in sources]
+    full_models, *rest_models = _fit_models(
+        signals, [channels] + rests, config, [channels] + [sinks[s] for s in sources]
+    )
     full = _assemble_system(channels, full_models, config)
-    # only the restricted lag matrices: nothing reads their covariances
+    # only the restricted sink rows: nothing reads their covariances
     lags = [_lag_matrices(r, m, config.lags) for r, m in zip(rests, rest_models)]
     del rest_models
-    restricted = list(zip(channels, rests, lags))
-    pairs = [(src, sink) for src, rest in zip(channels, rests) for sink in rest]
+    restricted = [(src, sinks[src], lag) for src, lag in zip(sources, lags)]
+    pairs = [(src, sink) for src in sources for sink in sinks[src]]
     values = _pair_values(full, restricted, sampling_rate, freqs, time_indices)
     return {
         (source, sink): CgcMap(

@@ -217,6 +217,7 @@ def _cmd_causality(args) -> int:
     config = build_run_config(args)
     if args.source == args.sink:
         raise ConfigError(f"--source and --sink must differ, both are {args.sink}")
+    pipeline.check_frequency_grid(config, args.fs)
     data, names = pipeline._load_trial_csv(args.trial)
     electrodes = list(config.electrodes)
     missing = [e for e in electrodes if e not in names]

@@ -42,6 +42,11 @@ _REPRESENTATIONS = {
     ),
 }
 
+#: The (source, sink) maps the representations read, in first-use order.
+IMAGE_PAIRS = tuple(
+    dict.fromkeys((s, k) for terms in _REPRESENTATIONS.values() for _, s, k in terms)
+)
+
 _DOWNSAMPLE_BLOCK = 5
 
 

@@ -2,11 +2,12 @@
 fixtures, per-crop causality imaging, boosted training, and run reports.
 
 The standard pipeline band-limits whole trials, slides 2 s crops over
-them, computes all 20 directed causality maps among the five electrodes
-per crop, folds them into causality images, boosts the convolutional
-base learner on the training split, and majority-votes crop predictions
-on the test split. Every unit of parallel work derives its seed from the
-master seed and its unit id, so results are independent of scheduling.
+them, computes per crop the 14 directed causality maps the images read
+(every pair with C3 or C4 at one end), folds them into causality images,
+boosts the convolutional base learner on the training split, and
+majority-votes crop predictions on the test split. Every unit of parallel
+work derives its seed from the master seed and its unit id, so results
+are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import numpy as np
 from scipy.signal import butter, filtfilt
 
 from . import boosting, convnet, gridio
-from .causality import CgcConfig, pairwise_maps
+from .causality import CgcConfig, InvalidRangeError, pairwise_maps
 from .identify import RofrConfig
 from .images import (
     ELECTRODE_ORDER,
+    IMAGE_PAIRS,
     CausalityImage,
     assemble_image,
     crop_trial,
@@ -369,9 +371,9 @@ def _crop_image_unit(args):
     An exception keeps its type (and so its exit code) and gains a note
     naming the crop: ``trial <id>, crop at sample <start>``.
     """
-    crop_data, electrodes, fs, cgc_config, crop_name = args
+    crop_data, electrodes, pairs, fs, cgc_config, crop_name = args
     try:
-        maps = pairwise_maps(crop_data, range(len(electrodes)), fs, cgc_config)
+        maps = pairwise_maps(crop_data, range(len(electrodes)), fs, cgc_config, pairs)
         named = {
             (electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()
         }
@@ -402,7 +404,9 @@ def trial_images(
     if missing:
         raise DataError(f"channels missing from data: {missing}")
     sel = [trial_set.channel_names.index(e) for e in electrodes]
+    pairs = [(electrodes.index(s), electrodes.index(k)) for s, k in IMAGE_PAIRS]
     fs = trial_set.sampling_rate
+    check_frequency_grid(config, fs)
     cgc = config.cgc_config()
     units = []
     owners = []
@@ -417,7 +421,8 @@ def trial_images(
         )
         for crop in crops:
             name = f"trial {trial.trial_id}, crop at sample {crop.start_sample}"
-            units.append((crop.extract(trial.data)[sel], electrodes, fs, cgc, name))
+            data = crop.extract(trial.data)[sel]
+            units.append((data, electrodes, pairs, fs, cgc, name))
             owners.append(i)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -431,6 +436,17 @@ def trial_images(
         groups[owner].append(row)
     ids = [t.trial_id for t in trial_set.trials]
     return images, labels, ids, groups
+
+
+def check_frequency_grid(config: RunConfig, sampling_rate: float) -> None:
+    """Reject data sampled too slowly for the causality grid, before imaging."""
+    try:
+        config.cgc_config().freq_grid(sampling_rate)
+    except InvalidRangeError as exc:
+        raise DataError(
+            f"data sampled at {sampling_rate:g} Hz is too slow for the causality "
+            f"grid: {exc}"
+        ) from exc
 
 
 def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,23 @@ class TestTfCgcMap:
             assert pair.conditioning == conditioning
             single = tf_cgc_map(sig, source, sink, conditioning, 250.0, cfg)
             np.testing.assert_allclose(pair.values, single.values, atol=1e-8)
+
+    def test_pairwise_subset_matches_all_pairs(self):
+        rng = np.random.default_rng(7)
+        sig = rng.standard_normal((4, 300))
+        every = pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP)
+        some = pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [(2, 0), (0, 1), (0, 3)])
+        assert list(some) == [(0, 1), (0, 3), (2, 0)]
+        for pair, cgc_map in some.items():
+            assert cgc_map.conditioning == every[pair].conditioning
+            np.testing.assert_array_equal(cgc_map.values, every[pair].values)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (4, 0), (-1, 2)])
+    def test_pairwise_rejects_bad_pair(self, monkeypatch, pair):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.random.default_rng(7).standard_normal((4, 300))
+        with pytest.raises(InvalidConfigurationError, match=re.escape(f"[{pair}]")):
+            pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [(0, 1), pair])
 
     def test_decimation(self):
         rng = np.random.default_rng(8)

@@ -527,3 +527,54 @@ class TestConfigElectrodes:
         )
         assert code == EXIT_OK
         assert gridio.read_grid(out)[0]["values"].shape == (500, 90)
+
+
+class TestSlowSampling:
+    SLOW_CFG = (
+        "[data]\nband_low = 1\nband_high = 8\n[causality]\norders = 3\nlags = 2\n"
+        "[classifier]\ntemporal_kernel = 10\nblock_count = 1\n"
+    )
+
+    @pytest.mark.parametrize("command", ["run", "train", "image", "eval", "causality"])
+    def test_grid_beyond_nyquist_rejected_before_imaging(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_imaging(*args, **kwargs):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
+        monkeypatch.setattr(cli, "tf_cgc_map", no_imaging)
+        monkeypatch.setattr(gridio, "load_ensemble", lambda path: None)
+        sets = [
+            pipeline.synth_generate(
+                pipeline.SynthSpec(
+                    sampling_rate=24.0,
+                    oscillation_freq=5.0,
+                    trials_per_class=1,
+                    split=split,
+                ),
+                seed=0,
+            )
+            for split in ("train", "test")
+        ]
+        data = pipeline.TrialSet(
+            sets[0].trials + sets[1].trials, sets[0].channel_names, 24.0
+        )
+        manifest = pipeline.save_trials(data, tmp_path / "data")
+        inputs = {
+            "causality": [
+                "--trial", str(tmp_path / "data" / "train_left_000.csv"),
+                "--source", "C4", "--sink", "C3", "--fs", "24",
+            ],
+            "eval": ["--manifest", manifest, "--model", str(tmp_path / "model.json")],
+        }.get(command, ["--manifest", manifest])
+        cfg = write_cfg(tmp_path, self.SLOW_CFG)
+        out = str(tmp_path / "out")
+        code = main([command, "--config", cfg, "--out", out] + inputs)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            "data error: data sampled at 24 Hz is too slow for the causality "
+            "grid: grid reaches 14.9 Hz, beyond Nyquist 12 Hz"
+        )
+        assert "Traceback" not in err

@@ -3,7 +3,13 @@ import zlib
 import numpy as np
 import pytest
 
-from tfcgc import pipeline
+from tfcgc import causality, pipeline
+from tfcgc.images import (
+    ELECTRODE_ORDER,
+    IMAGE_PAIRS,
+    assemble_image,
+    electrode_representation,
+)
 from tfcgc.pipeline import (
     DataError,
     InstabilityError,
@@ -205,6 +211,74 @@ class TestTrialImages:
         )
         with pytest.raises(DataError, match="missing"):
             trial_images(ts, CHEAP_RUN)
+
+
+def all_pairs_image(crop, electrodes, config):
+    """A crop's image from every ordered pair's map, and those maps."""
+    maps = causality.pairwise_maps(crop, range(5), 250.0, config.cgc_config())
+    named = {(electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()}
+    reps = {e: electrode_representation(named, e) for e in electrodes}
+    return assemble_image(reps, electrodes).values, maps
+
+
+class TestImagePairs:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(
+                orders=(3,),
+                lags=2,
+                time_decimation=10,
+                electrodes=("Pz", "C4", "Fz", "C3", "Cz"),
+            ),
+            RunConfig(),
+        ],
+        ids=["criterion15", "fullscale"],
+    )
+    def test_image_equals_all_pairs_image(self, monkeypatch, config):
+        trials = bandpass(tiny_synth(trials_per_class=1, seed=5), 6.0, 15.0)
+        trials.trials = trials.trials[:1]
+        read = []
+        real = pipeline.pairwise_maps
+
+        def keeping(*args, **kwargs):
+            read.append(real(*args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(pipeline, "pairwise_maps", keeping)
+        images, _, _, _ = trial_images(trials, config)
+        electrodes = list(config.electrodes)
+        crop = trials.trials[0].data[[ELECTRODE_ORDER.index(e) for e in electrodes]]
+        expected, every = all_pairs_image(crop, electrodes, config)
+        np.testing.assert_array_equal(images[0], expected)
+        (maps,) = read
+        assert sorted(maps) == sorted(
+            (electrodes.index(s), electrodes.index(k)) for s, k in IMAGE_PAIRS
+        )
+        for pair, cgc_map in maps.items():
+            np.testing.assert_array_equal(cgc_map.values, every[pair].values)
+
+    def test_crop_fits_19_equations_and_evaluates_14_pairs(self, monkeypatch):
+        equations, pairs = [], []
+        fit_equations, pair_values = causality.fit_equations, causality._pair_values
+
+        def counting_fits(signals, eqs, rofr):
+            equations.extend(eqs)
+            return fit_equations(signals, eqs, rofr)
+
+        def counting_pairs(full, restricted, *args):
+            pairs.extend((src, k) for src, sinks, _ in restricted for k in sinks)
+            return pair_values(full, restricted, *args)
+
+        monkeypatch.setattr(causality, "fit_equations", counting_fits)
+        monkeypatch.setattr(causality, "_pair_values", counting_pairs)
+        trials = bandpass(tiny_synth(trials_per_class=1), 6.0, 15.0)
+        trials.trials = trials.trials[:1]
+        trial_images(trials, CHEAP_RUN)
+        assert len(equations) == 19  # 5 full + 14 restricted
+        assert len(pairs) == 14
+        named = {(ELECTRODE_ORDER[s], ELECTRODE_ORDER[k]) for s, k in pairs}
+        assert named == set(IMAGE_PAIRS)
 
 
 def fake_trial_images(trial_set, config):
