@@ -369,13 +369,12 @@ class CgcMap:
             raise InvalidRangeError("map value dimensions do not match axes")
 
 
-# grid times per block of `_pair_values`.  At 10 a crop's stacked
-# spectrum and its product with Abar^-1, each (times, F, 5 + pairs rows, 5)
-# complex, are 1.8 MB for all 20 pairs and 1.37 MB for an image's 14; a
-# call makes the two once and every block writes into them.  Pair
-# evaluation of a full-scale crop (20 pairs) took 260, 259 and 268 ms at
-# blocks of 5, 10 and 20 times, and of a criterion-15 crop 30.0, 29.7 and
-# 44.1 ms (2-CPU VM, 2 MB L2 per core).
+# grid times per block of `_pair_values`.  A call makes its stacked
+# spectrum and that spectrum's product with Abar^-1, each (times, F,
+# n + pairs, n) complex, once, and every block writes into them.  At 10
+# times a 5-channel crop's two stay under 2 MB each on a 90-frequency
+# grid, so they can stay in a core's L2 cache: larger blocks ran slower
+# and smaller ones no faster (timings in CHANGES.md).
 _TIME_BLOCK = 10
 
 
@@ -564,9 +563,11 @@ def tf_cgc_map(
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
     kept, channels = [sink] + conditioning, [sink, source] + conditioning
-    rest_models, full_models = _fit_models(signals, [kept, channels], config)
+    rest_models, full_models = _fit_models(
+        signals, [kept, channels], config, [[sink], channels]
+    )
     full = _assemble_system(channels, full_models, config)
-    lags = _lag_matrices(kept, rest_models, config.lags)[:, :, :1]
+    lags = _lag_matrices(kept, rest_models, config.lags)
     values = _pair_values(
         full, [(source, [sink], lags)], sampling_rate, freqs, time_indices
     )
@@ -614,10 +615,10 @@ def significance_test(
     time_indices = cgc_map.time_axis - 1
     fs, freqs = cgc_map.sampling_rate, cgc_map.freq_axis
     # the restricted system excludes the source, so no shift changes it:
-    # one fit serves every surrogate
+    # one fit of its sink equation serves every surrogate
     kept = [sink] + conditioning
-    (models,) = _fit_models(signals, [kept], config)
-    lags = _lag_matrices(kept, models, config.lags)[:, :, :1]
+    (models,) = _fit_models(signals, [kept], config, [[sink]])
+    lags = _lag_matrices(kept, models, config.lags)
     restricted = [(source, [sink], lags)]
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):

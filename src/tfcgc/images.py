@@ -105,6 +105,27 @@ class CausalityImage:
         return self.values.shape[1]
 
 
+def crop_geometry(samples, sampling_rate, crop_seconds, stride_seconds, trial_id):
+    """Crop length and stride in whole samples, checked against a trial of
+    ``samples`` samples, which holds (samples - length) // stride + 1 crops."""
+    length_f = sampling_rate * crop_seconds
+    stride_f = sampling_rate * stride_seconds
+    if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
+        raise InvalidCropError(
+            f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
+            f"span whole samples at {sampling_rate:g} Hz"
+        )
+    length = int(round(length_f))
+    stride = int(round(stride_f))
+    if length <= 0 or stride <= 0:
+        raise InvalidCropError("crop and stride must be positive")
+    if length > samples:
+        raise InvalidCropError(
+            f"trial {trial_id}: crop of {length} samples exceeds trial of {samples}"
+        )
+    return length, stride
+
+
 def crop_trial(
     trial: np.ndarray,
     sampling_rate: float,
@@ -118,29 +139,14 @@ def crop_trial(
     Crops start at samples 1, 1+S, 1+2S, ... (1-based) while they fit,
     with S the stride and the window length both in whole samples.
     """
-    trial = np.asarray(trial)
-    n = trial.shape[-1]
-    length_f = sampling_rate * crop_seconds
-    stride_f = sampling_rate * stride_seconds
-    if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
-        raise InvalidCropError(
-            f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
-            f"span whole samples at {sampling_rate:g} Hz"
-        )
-    length = int(round(length_f))
-    stride = int(round(stride_f))
-    if length <= 0 or stride <= 0:
-        raise InvalidCropError("crop and stride must be positive")
-    if length > n:
-        raise InvalidCropError(
-            f"trial {trial_id}: crop of {length} samples exceeds trial of {n}"
-        )
-    crops = []
-    start = 1
-    while start + length - 1 <= n:
-        crops.append(Crop(trial_id, start, length, label))
-        start += stride
-    return crops
+    n = np.shape(trial)[-1]
+    length, stride = crop_geometry(
+        n, sampling_rate, crop_seconds, stride_seconds, trial_id
+    )
+    return [
+        Crop(trial_id, start, length, label)
+        for start in range(1, n - length + 2, stride)
+    ]
 
 
 def _map_values(entry) -> np.ndarray:

@@ -12,12 +12,14 @@ are independent of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -30,6 +32,7 @@ from .images import (
     IMAGE_PAIRS,
     CausalityImage,
     assemble_image,
+    crop_geometry,
     crop_trial,
     electrode_representation,
     export_image,
@@ -394,6 +397,37 @@ def trial_images(
     ``crops_per_trial[i]`` indexes the rows of ``images`` belonging to
     trial i, in crop order.
     """
+    with _imaging([trial_set], config) as images:
+        return next(images)
+
+
+@contextlib.contextmanager
+def _imaging(trial_sets, config: RunConfig):
+    """Yields an iterator of each set's ``trial_images`` result in turn.
+
+    Every set is checked and cropped up front, then all their crops are
+    queued at once, in order, on one pool of ``config.threads`` workers,
+    which images later sets while the caller works on earlier ones (one
+    thread images each crop as it is read).  Leaving the block cancels
+    the crops still queued and waits for the workers to exit.
+    """
+    splits = [_crop_units(trial_set, config) for trial_set in trial_sets]
+    units = [unit for split in splits for unit in split[0]]
+    pool = ProcessPoolExecutor(config.threads) if config.threads > 1 else None
+    try:
+        images = (pool.map if pool else map)(_crop_image_unit, units)
+        yield (
+            (np.stack(list(islice(images, len(crops)))), *rest)
+            for crops, *rest in splits
+        )
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def _crop_units(trial_set: TrialSet, config: RunConfig):
+    """Check a trial set against the run's settings and crop it: the imaging
+    unit of every crop, trial by trial, then ``trial_images``' other results."""
     electrodes = list(config.electrodes)
     if sorted(electrodes) != sorted(ELECTRODE_ORDER):
         raise ConfigError(
@@ -408,34 +442,18 @@ def trial_images(
     fs = trial_set.sampling_rate
     check_frequency_grid(config, fs)
     cgc = config.cgc_config()
-    units = []
-    owners = []
-    for i, trial in enumerate(trial_set.trials):
+    units, labels, groups = [], [], []
+    for trial in trial_set.trials:
         crops = crop_trial(
-            trial.data,
-            fs,
-            config.crop_seconds,
-            config.stride_seconds,
-            trial.trial_id,
-            trial.label,
+            trial.data, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
         )
+        groups.append(list(range(len(units), len(units) + len(crops))))
+        labels += [trial.label] * len(crops)
         for crop in crops:
             name = f"trial {trial.trial_id}, crop at sample {crop.start_sample}"
             data = crop.extract(trial.data)[sel]
             units.append((data, electrodes, pairs, fs, cgc, name))
-            owners.append(i)
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_crop_image_unit, units, chunksize=1))
-    else:
-        results = [_crop_image_unit(u) for u in units]
-    images = np.stack(results)
-    labels = np.array([trial_set.trials[i].label for i in owners])
-    groups: list[list[int]] = [[] for _ in trial_set.trials]
-    for row, owner in enumerate(owners):
-        groups[owner].append(row)
-    ids = [t.trial_id for t in trial_set.trials]
-    return images, labels, ids, groups
+    return units, np.array(labels), [t.trial_id for t in trial_set.trials], groups
 
 
 def check_frequency_grid(config: RunConfig, sampling_rate: float) -> None:
@@ -455,16 +473,13 @@ def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
     A trial's label is the majority vote over its crops, which needs an
     odd count; the count depends only on the trial length.
     """
+    fs = trial_set.sampling_rate
     for trial in trial_set.trials:
-        count = len(
-            crop_trial(
-                trial.data,
-                trial_set.sampling_rate,
-                config.crop_seconds,
-                config.stride_seconds,
-                trial.trial_id,
-            )
+        n = trial.data.shape[-1]
+        length, stride = crop_geometry(
+            n, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
         )
+        count = (n - length) // stride + 1
         if count % 2 == 0:
             raise DataError(
                 f"trial {trial.trial_id}: {count} crops, but majority voting "
@@ -512,30 +527,32 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     check_crop_parity(test_set, config)
     check_architecture(config, filtered.sampling_rate)
 
-    tr_images, tr_labels, _, _ = trial_images(train_set, config)
-    ensemble = boosting.adaboost_train(
-        tr_images,
-        tr_labels,
-        chi=config.chi,
-        base_config=config.convnet_config(),
-        seed=config.seed,
-    )
-    report: dict = {
-        "n_train_trials": len(train_set),
-        "n_train_crops": int(len(tr_labels)),
-        "n_test_trials": len(test_set),
-        "members": len(ensemble.members),
-        "best_joint": ensemble.best_joint,
-        "validation_accuracy": ensemble.validation_accuracy,
-        "preprocessing": "zero-phase band-pass "
-        f"{config.band[0]:g}-{config.band[1]:g} Hz (order 4, forward-backward)",
-    }
-    te_images = None
-    if len(test_set) > 0:
-        te_images, _, _, te_groups = trial_images(test_set, config)
-        report["evaluation"] = evaluation_report(
-            ensemble, te_images, te_groups, test_set.trials
+    # the pool images the test crops while the ensemble trains
+    with _imaging([train_set, test_set], config) as splits:
+        tr_images, tr_labels, _, _ = next(splits)
+        ensemble = boosting.adaboost_train(
+            tr_images,
+            tr_labels,
+            chi=config.chi,
+            base_config=config.convnet_config(),
+            seed=config.seed,
         )
+        report: dict = {
+            "n_train_trials": len(train_set),
+            "n_train_crops": int(len(tr_labels)),
+            "n_test_trials": len(test_set),
+            "members": len(ensemble.members),
+            "best_joint": ensemble.best_joint,
+            "validation_accuracy": ensemble.validation_accuracy,
+            "preprocessing": "zero-phase band-pass "
+            f"{config.band[0]:g}-{config.band[1]:g} Hz (order 4, forward-backward)",
+        }
+        te_images = None
+        if len(test_set) > 0:
+            te_images, _, _, te_groups = next(splits)
+            report["evaluation"] = evaluation_report(
+                ensemble, te_images, te_groups, test_set.trials
+            )
     if config.out_dir:
         _write_artifacts(config, report, ensemble, tr_images, te_images)
     return report

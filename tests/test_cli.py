@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,7 @@ class TestCausalityCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("fit started")
 
-        monkeypatch.setattr(causality, "fit_systems", no_fit)
+        monkeypatch.setattr(causality, "fit_equations", no_fit)
         monkeypatch.setattr(pipeline, "_load_trial_csv", no_fit)
         code = main(
             [
@@ -300,7 +302,7 @@ class TestRunCommand:
         def no_imaging(*args, **kwargs):
             raise AssertionError("imaging started")
 
-        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
         # 4.5 s trials give 6 crops of 2 s at a 0.5 s stride
         cfg = write_cfg(
             tmp_path,
@@ -371,6 +373,39 @@ class TestRunCommand:
         )
         assert "Traceback" not in err
 
+    def test_test_crop_failure_while_training_names_trial_and_crop(
+        self, tmp_path, capsys
+    ):
+        train = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=0
+        )
+        test = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0, split="test"),
+            seed=1,
+        )
+        c3 = test.channel_names.index("C3")
+        for trial in test.trials:
+            trial.data[c3] = 0.0
+        data = pipeline.TrialSet(
+            train.trials + test.trials, train.channel_names, 250.0
+        )
+        manifest = pipeline.save_trials(data, tmp_path / "data")
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "time_decimation = 25\n[classifier]\nfirst_block_filters = 4\n"
+            "block_count = 1\nmax_epochs = 2\nchi = 1\n",
+        )
+        code = main(
+            ["run", "--config", cfg, "--manifest", manifest, "--threads", "2"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith(
+            "numeric failure: trial test_left_000, crop at sample 1: "
+        )
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize(
         "settings, message",
@@ -409,7 +444,7 @@ class TestRunCommand:
         def no_imaging(*args, **kwargs):
             raise AssertionError("imaging started")
 
-        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
         cfg = write_cfg(
             tmp_path,
             CHEAP_CFG + settings + "[synth]\ntrials_per_class = 1\n"
@@ -470,7 +505,7 @@ class TestConfigRanges:
         def no_imaging(*args, **kwargs):
             raise AssertionError("imaging started")
 
-        monkeypatch.setattr(pipeline, "trial_images", no_imaging)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
         monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
         monkeypatch.setattr(cli, "tf_cgc_map", no_imaging)
         manifest, trial = saved_trials

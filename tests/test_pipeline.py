@@ -1,9 +1,12 @@
+import multiprocessing
+import sys
+import time
 import zlib
 
 import numpy as np
 import pytest
 
-from tfcgc import causality, pipeline
+from tfcgc import boosting, causality, pipeline
 from tfcgc.images import (
     ELECTRODE_ORDER,
     IMAGE_PAIRS,
@@ -281,28 +284,15 @@ class TestImagePairs:
         assert named == set(IMAGE_PAIRS)
 
 
-def fake_trial_images(trial_set, config):
-    """Orchestration stand-in: deterministic label-coded images."""
-    images, labels, owners = [], [], []
-    for i, trial in enumerate(trial_set.trials):
-        digest = float(np.sum(trial.data) % 7) / 7.0
-        for crop in range(5):
-            base = np.full((90, 64), 0.1 * digest)
-            if trial.label == 1:
-                base[:45] += 1.0
-            else:
-                base[45:] += 1.0
-            rng = np.random.default_rng(
-                [zlib.crc32(trial.trial_id.encode()), crop]
-            )
-            images.append(base + 0.05 * rng.standard_normal((90, 64)))
-            labels.append(trial.label)
-            owners.append(i)
-    groups = [[] for _ in trial_set.trials]
-    for row, owner in enumerate(owners):
-        groups[owner].append(row)
-    ids = [t.trial_id for t in trial_set.trials]
-    return np.stack(images), np.array(labels), ids, groups
+def fake_crop_image(unit):
+    """Orchestration stand-in for one crop: a label-coded image."""
+    *_, name = unit
+    base = np.zeros((90, 64))
+    # synthetic trial ids name their class
+    rows = slice(0, 45) if "_left_" in name else slice(45, 90)
+    base[rows] += 1.0
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return base + 0.05 * rng.standard_normal((90, 64))
 
 
 class TestRunPipeline:
@@ -316,14 +306,15 @@ class TestRunPipeline:
         )
 
     def make_data(self):
-        train = tiny_synth(trials_per_class=4, split="train")
-        test = tiny_synth(trials_per_class=2, split="test", seed=9)
+        # 4 s trials: 5 crops each
+        train = tiny_synth(trials_per_class=4, seconds=4.0, split="train")
+        test = tiny_synth(trials_per_class=2, seconds=4.0, split="test", seed=9)
         return TrialSet(
             train.trials + test.trials, train.channel_names, 250.0
         )
 
     def test_full_report_and_artifacts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "trial_images", fake_trial_images)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", fake_crop_image)
         config = self.run_config(tmp_path / "out")
         report = run_pipeline(config, trial_set=self.make_data())
         assert report["n_train_trials"] == 8
@@ -344,7 +335,7 @@ class TestRunPipeline:
             assert (out / name).exists(), name
 
     def test_empty_test_split(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "trial_images", fake_trial_images)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", fake_crop_image)
         data = tiny_synth(trials_per_class=4, split="train")
         report = run_pipeline(self.run_config(), trial_set=data)
         assert "evaluation" not in report
@@ -362,7 +353,7 @@ class TestRunPipeline:
             run_pipeline(self.run_config(), trial_set=data)
 
     def test_deterministic_reports(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "trial_images", fake_trial_images)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", fake_crop_image)
         data = self.make_data()
         reports = []
         for sub in ("a", "b"):
@@ -370,6 +361,61 @@ class TestRunPipeline:
             run_pipeline(config, trial_set=data)
             reports.append((tmp_path / sub / "report.csv").read_bytes())
         assert reports[0] == reports[1]
+
+
+CROP_LOG = None  # the file ``logged_crop_image`` appends each crop's name to
+
+
+def logged_crop_image(unit):
+    """``fake_crop_image`` that first records its crop, then takes 50 ms;
+    a pool's forked workers see the log path the test set."""
+    with open(CROP_LOG, "a") as fh:
+        fh.write(unit[-1] + "\n")
+    time.sleep(0.05)
+    return fake_crop_image(unit)
+
+
+class TestOverlappedSchedule:
+    """One pool per run: test crops queue behind training crops and are
+    imaged while the ensemble trains."""
+
+    def data(self, test_per_class):
+        train = tiny_synth(trials_per_class=1, split="train")
+        test = tiny_synth(test_per_class, seconds=4.0, split="test", seed=9)
+        return TrialSet(train.trials + test.trials, train.channel_names, 250.0)
+
+    def logged_crops(self, tmp_path, monkeypatch):
+        log = tmp_path / "crops.log"
+        monkeypatch.setattr(sys.modules[__name__], "CROP_LOG", str(log))
+        monkeypatch.setattr(pipeline, "_crop_image_unit", logged_crop_image)
+        return lambda: log.read_text().splitlines()
+
+    def config(self):
+        return RunConfig(max_epochs=2, chi=1, batch_size=8, threads=2)
+
+    def test_every_crop_imaged_once(self, tmp_path, monkeypatch):
+        crops = self.logged_crops(tmp_path, monkeypatch)
+        report = run_pipeline(self.config(), trial_set=self.data(1))
+        assert report["n_train_crops"] == 2
+        assert len(report["evaluation"]["per_trial"]) == 2
+        names = crops()
+        assert len(names) == len(set(names)) == 2 + 2 * 5
+        assert multiprocessing.active_children() == []
+
+    def test_training_error_cancels_queued_test_crops(self, tmp_path, monkeypatch):
+        crops = self.logged_crops(tmp_path, monkeypatch)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(boosting, "adaboost_train", failing)
+        with pytest.raises(RuntimeError, match="training failed"):
+            run_pipeline(self.config(), trial_set=self.data(4))
+        imaged = [name for name in crops() if name.startswith("trial test_")]
+        # 40 test crops were queued; only those already handed to a
+        # worker (at most a few) may still run
+        assert len(imaged) < 20
+        assert multiprocessing.active_children() == []
 
 
 class TestGridsearch:
