@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convnet
+from .errors import DataError, Range
 
 
-class InvalidInputError(ValueError):
+class InvalidInputError(DataError):
     """Empty or inconsistent inputs to boosting or evaluation."""
+
+
+#: the boosting rounds ``adaboost_train`` accepts
+ROUNDS = Range(1)
 
 
 @dataclass
@@ -97,8 +102,8 @@ def adaboost_train(
         raise InvalidInputError("images and labels must be equal-length, non-empty")
     if not set(np.unique(labels)).issubset({-1, 1}):
         raise InvalidInputError("labels must be coded -1/+1")
-    if chi < 1:
-        raise InvalidInputError("need at least one boosting round")
+    if not ROUNDS.holds(chi):
+        raise InvalidInputError(f"chi must be {ROUNDS}, got {chi}")
     if learner_factory is None:
         if base_config is None:
             raise InvalidInputError("need a base config or a learner factory")

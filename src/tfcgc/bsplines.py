@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigError, DataError, Range
+
 __all__ = [
     "BSplineSpec",
     "MultiwaveletDictionary",
@@ -24,16 +26,22 @@ __all__ = [
 ]
 
 
-class InvalidOrderError(ValueError):
+class InvalidOrderError(ConfigError):
     pass
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(DataError):
     pass
 
 
-class InvalidSpecError(ValueError):
+class InvalidSpecError(ConfigError):
     pass
+
+
+#: the orders, scales and lags every basis and dictionary holds to
+ORDERS = Range(1)
+SCALES = Range(0)
+LAGS = Range(1)
 
 
 def bspline_eval(order: int, u):
@@ -44,8 +52,8 @@ def bspline_eval(order: int, u):
     ``beta_s(u) = (u*beta_{s-1}(u) + (s-u)*beta_{s-1}(u-1)) / (s-1)``
     with support [0, s].  Accepts scalars or arrays.
     """
-    if order < 1:
-        raise InvalidOrderError(f"B-spline order must be >= 1, got {order}")
+    if not ORDERS.holds(order):
+        raise InvalidOrderError(f"B-spline order must be {ORDERS}, got {order}")
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     out = _bspline_rec(int(order), np.atleast_1d(u))
@@ -74,10 +82,10 @@ class BSplineSpec:
     shift: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidOrderError(f"order must be >= 1, got {self.order}")
-        if self.scale < 0:
-            raise InvalidSpecError(f"scale must be >= 0, got {self.scale}")
+        if not ORDERS.holds(self.order):
+            raise InvalidOrderError(f"order must be {ORDERS}, got {self.order}")
+        if not SCALES.holds(self.scale):
+            raise InvalidSpecError(f"scale must be {SCALES}, got {self.scale}")
         if not (-self.order <= self.shift <= 2**self.scale - 1):
             raise InvalidSpecError(
                 f"shift {self.shift} outside admissible range "
@@ -123,7 +131,7 @@ class MultiwaveletDictionary:
 
     @property
     def bases_per_term(self) -> int:
-        return sum(2**self.scale + s for s in self.orders)
+        return basis_count(self.orders, self.scale)
 
     def basis_matrix(self, u: np.ndarray) -> np.ndarray:
         """Stack basis values at points ``u`` for the per-term basis list.
@@ -136,6 +144,11 @@ class MultiwaveletDictionary:
             for l in shift_range(s, self.scale):
                 cols.append(basis_eval(BSplineSpec(s, self.scale, l), u))
         return np.column_stack(cols)
+
+
+def basis_count(orders, scale: int) -> int:
+    """Basis functions per (variable, lag): 2**scale + s shifts per order s."""
+    return sum(2**scale + s for s in set(orders))
 
 
 def build_dictionary(orders, scale: int, lags_per_variable) -> MultiwaveletDictionary:
@@ -153,14 +166,13 @@ def build_dictionary(orders, scale: int, lags_per_variable) -> MultiwaveletDicti
 
 @lru_cache(maxsize=32)
 def _dictionary(orders, scale: int, lags) -> MultiwaveletDictionary:
-    if not orders:
-        raise InvalidSpecError("orders must be non-empty")
-    if not lags:
-        raise InvalidSpecError("lags_per_variable must be non-empty")
-    if any(k < 1 for k in lags):
-        raise InvalidSpecError(f"all lags must be >= 1, got {lags}")
-    if scale < 0:
-        raise InvalidSpecError(f"scale must be >= 0, got {scale}")
+    for name, value, bound in (
+        ("orders", orders, ORDERS),
+        ("lags_per_variable", lags, LAGS),
+        ("scale", scale, SCALES),
+    ):
+        if not bound.holds(value):
+            raise InvalidSpecError(f"{name} must be {bound}, got {value}")
     cands = []
     for v, max_lag in enumerate(lags):
         for k in range(1, max_lag + 1):

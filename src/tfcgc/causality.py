@@ -27,6 +27,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .bsplines import build_dictionary
+from .errors import ConfigError, DataError, NumericError
 from .identify import RofrConfig, TvarxModel, fit_equations, recursive_covariance
 
 __all__ = [
@@ -46,30 +47,30 @@ __all__ = [
 ]
 
 
-class DegenerateVarianceError(RuntimeError):
+class DegenerateVarianceError(NumericError):
     pass
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(NumericError):
     def __init__(self, msg, t=None, f=None):
         super().__init__(msg)
         self.t = t
         self.f = f
 
 
-class DegenerateSpectrumError(RuntimeError):
+class DegenerateSpectrumError(NumericError):
     pass
 
 
-class InvalidRangeError(ValueError):
+class InvalidRangeError(DataError):
     pass
 
 
-class InvalidConfigurationError(ValueError):
+class InvalidConfigurationError(ConfigError):
     pass
 
 
-class LevelUnachievableError(ValueError):
+class LevelUnachievableError(ConfigError):
     pass
 
 

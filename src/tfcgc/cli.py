@@ -16,17 +16,10 @@ import sys
 
 import numpy as np
 
-from . import boosting, convnet, gridio, pipeline
-from .causality import (
-    ConditioningError,
-    DegenerateSpectrumError,
-    DegenerateVarianceError,
-    LevelUnachievableError,
-    tf_cgc_map,
-)
-from .identify import EmptyModelError
-from .images import CausalityImage, InvalidCropError, export_image
-from .pipeline import ConfigError
+from . import boosting, gridio, pipeline
+from .causality import tf_cgc_map
+from .errors import ConfigError, DataError, NumericError
+from .images import CausalityImage, export_image
 
 log = logging.getLogger("tfcgc")
 
@@ -35,86 +28,31 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-NUMERIC_ERRORS = (
-    EmptyModelError,
-    ConditioningError,
-    DegenerateVarianceError,
-    DegenerateSpectrumError,
-    LevelUnachievableError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+
+def _schema(*tables):
+    """section -> config key -> (table, field, item of a per-item key or None),
+    from the ``_key`` metadata of the tables' fields."""
+    schema: dict[str, dict] = {}
+    for table in tables:
+        for f in dataclasses.fields(table):
+            if "section" in f.metadata:
+                keys = f.metadata["keys"]
+                for item, key in enumerate(keys or [f.name]):
+                    section = schema.setdefault(f.metadata["section"], {})
+                    section[key] = (table, f, item if keys else None)
+    return schema
 
 
-#: config file schema: section -> key -> (RunConfig/SynthSpec field, parser)
-def _tuple_of(kind):
-    def parse(text):
-        return tuple(kind(tok.strip()) for tok in text.split(",") if tok.strip())
-
-    return parse
+_TABLES = (pipeline.RunConfig, pipeline.SynthSpec)
+_SCHEMA = _schema(*_TABLES)
 
 
-def _bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
-
-
-_RUN_SCHEMA = {
-    "data": {
-        "manifest": ("manifest", str),
-        "band_low": (("band", 0), float),
-        "band_high": (("band", 1), float),
-        "electrodes": ("electrodes", _tuple_of(str)),
-        "crop_seconds": ("crop_seconds", float),
-        "stride_seconds": ("stride_seconds", float),
-    },
-    "causality": {
-        "orders": ("orders", _tuple_of(int)),
-        "scale": ("scale", int),
-        "lags": ("lags", int),
-        "forgetting": ("forgetting", float),
-        "init_window": ("init_window", int),
-        "regularization": ("regularization", float),
-        "time_decimation": ("time_decimation", int),
-    },
-    "classifier": {
-        "temporal_kernel": ("temporal_kernel", int),
-        "first_block_filters": ("first_block_filters", int),
-        "block_count": ("block_count", int),
-        "batch_size": ("batch_size", int),
-        "max_epochs": ("max_epochs", int),
-        "early_stop_patience": ("early_stop_patience", int),
-        "chi": ("chi", int),
-    },
-    "run": {
-        "seed": ("seed", int),
-        "threads": ("threads", int),
-        "out_dir": ("out_dir", str),
-        "export_graymaps": ("export_graymaps", _bool),
-    },
-}
-
-_SYNTH_SCHEMA = {
-    "synth": {
-        "sampling_rate": ("sampling_rate", float),
-        "trial_seconds": ("trial_seconds", float),
-        "trials_per_class": ("trials_per_class", int),
-        "test_trials_per_class": (None, int),  # handled by the synth command
-        "coupling": ("coupling", float),
-        "window_low": (("window", 0), float),
-        "window_high": (("window", 1), float),
-        "oscillation_freq": ("oscillation_freq", float),
-        "pole_radius": ("pole_radius", float),
-        "noise_scale": ("noise_scale", float),
-    }
-}
-
-
-def _read_config_file(path):
+def _read_config_file(path) -> dict:
+    """{table: {field: value}} for the keys a config file (if any) sets; a
+    per-item key (``band_low``) replaces its item of the field's default."""
+    values: dict = {table: {} for table in _TABLES}
+    if not path:
+        return values
     parser = configparser.ConfigParser()
     try:
         read = parser.read([str(path)])
@@ -122,91 +60,45 @@ def _read_config_file(path):
         detail = " ".join(str(exc).split())
         raise ConfigError(f"malformed config file: {detail}") from exc
     if not read:
-        raise pipeline.DataError(f"cannot read config file: {path}")
-    known = {**_RUN_SCHEMA, **_SYNTH_SCHEMA}
-    values: dict[str, dict[str, object]] = {}
+        raise DataError(f"cannot read config file: {path}")
     for section in parser.sections():
-        if section not in known:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
         for key, raw in parser.items(section):
-            if key not in known[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            _, parse = known[section][key]
+            table, f, item = _SCHEMA[section][key]
             try:
-                values[section][key] = parse(raw)
+                value = f.metadata["parse"](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {raw!r} ({exc})"
                 ) from exc
+            if item is not None:
+                items = list(values[table].get(f.name, f.default))
+                items[item] = value
+                value = tuple(items)
+            values[table][f.name] = value
     return values
 
 
-def _apply_schema(values, schema, defaults):
-    """Overlay parsed config values onto a dataclass's field dict."""
-    fields = dict(defaults)
-    for section, keys in schema.items():
-        for key, parsed in values.get(section, {}).items():
-            target = schema[section][key][0]
-            if target is None:
-                continue
-            if isinstance(target, tuple):
-                name, pos = target
-                current = list(fields[name])
-                current[pos] = parsed
-                fields[name] = tuple(current)
-            else:
-                fields[target] = parsed
-    return fields
-
-
 def build_run_config(args) -> pipeline.RunConfig:
-    values = _read_config_file(args.config) if args.config else {}
-    fields = _apply_schema(
-        values, _RUN_SCHEMA, dataclasses.asdict(pipeline.RunConfig())
-    )
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.threads is not None:
-        fields["threads"] = args.threads
-    if args.out is not None:
-        fields["out_dir"] = args.out
-    if getattr(args, "manifest", None):
-        fields["manifest"] = args.manifest
-    fields["band"] = tuple(fields["band"])
-    fields["electrodes"] = tuple(fields["electrodes"])
-    fields["orders"] = tuple(fields["orders"])
+    fields = _read_config_file(args.config)[pipeline.RunConfig]
+    flags = dict(seed=args.seed, threads=args.threads, out_dir=args.out,
+                 manifest=getattr(args, "manifest", None))
+    fields.update((name, value) for name, value in flags.items() if value is not None)
     return pipeline.RunConfig(**fields)
-
-
-def build_synth_spec(args, split: str) -> pipeline.SynthSpec:
-    values = _read_config_file(args.config) if args.config else {}
-    fields = _apply_schema(
-        values, _SYNTH_SCHEMA, dataclasses.asdict(pipeline.SynthSpec())
-    )
-    fields["channel_names"] = tuple(fields["channel_names"])
-    fields["window"] = tuple(fields["window"])
-    fields["split"] = split
-    if split == "test":
-        n_test = values.get("synth", {}).get("test_trials_per_class")
-        if n_test is not None:
-            fields["trials_per_class"] = n_test
-    return pipeline.SynthSpec(**fields)
 
 
 def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out = args.out or "synth_data"
-    sets = []
-    for i, split in enumerate(("train", "test")):
-        spec = build_synth_spec(args, split)
-        sets.append(pipeline.synth_generate(spec, seed=seed + i))
-    merged = pipeline.TrialSet(
-        sets[0].trials + sets[1].trials,
-        sets[0].channel_names,
-        sets[0].sampling_rate,
-        sets[0].metadata,
-    )
+    spec = pipeline.SynthSpec(**_read_config_file(args.config)[pipeline.SynthSpec])
+    sets = [
+        pipeline.synth_generate(dataclasses.replace(spec, split=split), seed=seed + i)
+        for i, split in enumerate(("train", "test"))
+    ]
+    merged = dataclasses.replace(sets[0], trials=sets[0].trials + sets[1].trials)
     manifest = pipeline.save_trials(merged, out)
     log.info("wrote %d trials to %s", len(merged), manifest)
     print(manifest)
@@ -222,11 +114,11 @@ def _cmd_causality(args) -> int:
     electrodes = list(config.electrodes)
     missing = [e for e in electrodes if e not in names]
     if missing:
-        raise pipeline.DataError(f"channels missing from trial: {missing}")
+        raise DataError(f"channels missing from trial: {missing}")
     sel = [names.index(e) for e in electrodes]
     signals = data[sel]
     if args.source not in electrodes or args.sink not in electrodes:
-        raise pipeline.DataError("source/sink must be configured electrodes")
+        raise DataError("source/sink must be configured electrodes")
     src = electrodes.index(args.source)
     snk = electrodes.index(args.sink)
     conditioning = [i for i in range(len(electrodes)) if i not in (src, snk)]
@@ -250,10 +142,15 @@ def _cmd_causality(args) -> int:
     return EXIT_OK
 
 
+def _band_passed(config, split=None) -> pipeline.TrialSet:
+    """The manifest's trials (of ``split`` only, if given), band-passed."""
+    filtered = pipeline.bandpass(pipeline.load_trials(config.manifest), *config.band)
+    return filtered.subset(split) if split else filtered
+
+
 def _cmd_image(args) -> int:
     config = build_run_config(args)
-    trial_set = pipeline.load_trials(config.manifest)
-    filtered = pipeline.bandpass(trial_set, *config.band)
+    filtered = _band_passed(config)
     images, labels, ids, groups = pipeline.trial_images(filtered, config)
     out = args.out or "images"
     os.makedirs(out, exist_ok=True)
@@ -274,10 +171,8 @@ def _cmd_image(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_run_config(args)
-    trial_set = pipeline.load_trials(config.manifest)
-    filtered = pipeline.bandpass(trial_set, *config.band).subset("train")
-    if len(filtered) == 0:
-        raise pipeline.DataError("no training trials in manifest")
+    filtered = _band_passed(config, "train")
+    pipeline.check_training_split(filtered)
     pipeline.check_architecture(config, filtered.sampling_rate)
     images, labels, _, _ = pipeline.trial_images(filtered, config)
     ensemble = boosting.adaboost_train(
@@ -297,11 +192,11 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = build_run_config(args)
     ensemble = gridio.load_ensemble(args.model)
-    trial_set = pipeline.load_trials(config.manifest)
-    filtered = pipeline.bandpass(trial_set, *config.band).subset("test")
+    filtered = _band_passed(config, "test")
     if len(filtered) == 0:
-        raise pipeline.DataError("no test trials in manifest")
+        raise DataError("no test trials in manifest")
     pipeline.check_crop_parity(filtered, config)
+    pipeline.check_model_input(ensemble, config, filtered.sampling_rate, args.model)
     images, _, _, groups = pipeline.trial_images(filtered, config)
     payload = pipeline.evaluation_report(ensemble, images, groups, filtered.trials)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -325,10 +220,12 @@ def _cmd_run(args) -> int:
 def _cmd_gridsearch(args) -> int:
     config = build_run_config(args)
     arrays, _, _ = gridio.read_grid(args.images)
-    images = arrays["images"]
+    missing = [name for name in ("images", "labels") if name not in arrays]
+    if missing:
+        raise DataError(f"{args.images}: no {missing[0]!r} array")
     labels = arrays["labels"].astype(int)
     results = pipeline.gridsearch(
-        images, labels, folds=args.folds, seed=config.seed
+        arrays["images"], labels, folds=args.folds, seed=config.seed
     )
     lines = ["temporal_kernel,first_block_filters,block_count,mean_accuracy,folds"]
     for row in results:
@@ -350,51 +247,34 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="output file or directory")
         p.add_argument("--threads", type=int, help="parallel worker count")
         p.add_argument("--verbose", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic two-class fixture")
-    common(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("causality", help="map one directed pair of a trial")
-    common(p)
+    command("synth", _cmd_synth, "generate a synthetic two-class fixture")
+    p = command("causality", _cmd_causality, "map one directed pair of a trial")
     p.add_argument("--trial", required=True, help="trial CSV file")
     p.add_argument("--source", required=True)
     p.add_argument("--sink", required=True)
     p.add_argument("--fs", type=float, default=250.0)
-    p.set_defaults(func=_cmd_causality)
-
-    p = sub.add_parser("image", help="build and export causality images")
-    common(p)
+    p = command("image", _cmd_image, "build and export causality images")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=_cmd_image)
-
-    p = sub.add_parser("train", help="train the boosted classifier")
-    common(p)
+    p = command("train", _cmd_train, "train the boosted classifier")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved ensemble")
-    common(p)
+    p = command("eval", _cmd_eval, "evaluate a saved ensemble")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="ensemble manifest JSON")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("run", help="full pipeline: train and evaluate")
-    common(p)
+    p = command("run", _cmd_run, "full pipeline: train and evaluate")
     p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("gridsearch", help="cross-validated architecture search")
-    common(p)
+    p = command("gridsearch", _cmd_gridsearch, "cross-validated architecture search")
     p.add_argument("--images", required=True, help="images.grid from `image`")
     p.add_argument("--folds", type=int, default=10)
-    p.set_defaults(func=_cmd_gridsearch)
     return parser
 
 
@@ -415,16 +295,15 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, pipeline.InstabilityError, convnet.ArchitectureError) as exc:
+    except ConfigError as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
-    except (pipeline.DataError, InvalidCropError, gridio.FormatError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {_message(exc)}", file=sys.stderr)
         return EXIT_DATA
-    except NUMERIC_ERRORS as exc:
+    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {_message(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import ConfigError, DataError, Range, ShapeError, check_ranges, ranged
 
 
-class ArchitectureError(ValueError):
-    """The input is too short for the configured convolution/pool stack."""
+class ArchitectureError(ConfigError):
+    """A setting out of range, or an input too short for the conv/pool stack."""
 
 
-class DegenerateLabelsError(ValueError):
+class DegenerateLabelsError(DataError):
     """A training fold contains fewer than two classes."""
 
 
@@ -36,11 +36,11 @@ class DegenerateLabelsError(ValueError):
 class ConvNetConfig:
     """Architecture and optimization settings."""
 
-    temporal_kernel: int = 15
-    first_block_filters: int = 10
-    block_count: int = 2
+    temporal_kernel: int = ranged(15, Range(10, 20))
+    first_block_filters: int = ranged(10, Range(1))
+    block_count: int = ranged(2, Range(1, 5))
     spatial_height: int = 90
-    dropout_rate: float = 0.5
+    dropout_rate: float = ranged(0.5, Range(0, 1, "[)"))
     pool_factor: int = 2
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -57,17 +57,8 @@ class ConvNetConfig:
     def __post_init__(self) -> None:
         # the [10, 20] kernel range applies to the standard 90-row images;
         # toy configurations with other heights may use shorter kernels
-        if self.spatial_height == 90:
-            if not 10 <= self.temporal_kernel <= 20:
-                raise ArchitectureError("temporal kernel must lie in [10, 20]")
-        elif self.temporal_kernel < 2:
-            raise ArchitectureError("temporal kernel must be at least 2")
-        if not 1 <= self.block_count <= 5:
-            raise ArchitectureError("block count must lie in [1, 5]")
-        if self.first_block_filters < 1:
-            raise ArchitectureError("need at least one filter")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ArchitectureError("dropout rate must lie in [0, 1)")
+        toy = {} if self.spatial_height == 90 else {"temporal_kernel": Range(2)}
+        check_ranges(self, ArchitectureError, **toy)
 
     def block_filters(self, block: int) -> int:
         """Filter count of 1-based block index; doubles every block."""

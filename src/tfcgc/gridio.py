@@ -19,11 +19,13 @@ import tempfile
 
 import numpy as np
 
+from .errors import DataError
+
 GRID_MAGIC = b"TFCGRID1"
 CHECKPOINT_MAGIC = b"TFCCKPT1"
 
 
-class FormatError(ValueError):
+class FormatError(DataError):
     """File contents do not match the declared format."""
 
 

@@ -19,7 +19,15 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.signal import lfilter
 
 from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
-from .errors import ShapeError
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    Range,
+    ShapeError,
+    check_ranges,
+    ranged,
+)
 
 __all__ = [
     "RofrConfig",
@@ -36,16 +44,22 @@ __all__ = [
 ]
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(DataError):
     pass
 
 
-class EmptyModelError(RuntimeError):
+class EmptyModelError(NumericError):
     pass
 
 
-class InvalidForgettingError(ValueError):
+class InvalidForgettingError(ConfigError):
     pass
+
+
+#: the forgetting factors the recursive covariance accepts
+FORGETTING = Range(0, 1, "()")
+#: the largest m x m Gram buffer ``_search`` may reserve for m design columns
+MAX_GRAM_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -56,23 +70,16 @@ class RofrConfig:
     1e-4 * mean candidate column squared norm.
     """
 
-    regularization: float | None = None
-    pesr_mu: float = 8.0
-    elimination_exponent: int = 12
-    max_terms: int = 40
+    regularization: float | None = ranged(None, Range(0))
+    pesr_mu: float = ranged(8.0, Range(5, 10))
+    elimination_exponent: int = ranged(12, Range(10, ends="(]"))
+    max_terms: int = ranged(40, Range(1))
     # PESR must rise this many consecutive steps before the search stops;
     # the reported model size is the global argmin over executed steps.
     stop_patience: int = 5
 
     def __post_init__(self):
-        if self.regularization is not None and self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if not (5.0 <= self.pesr_mu <= 10.0):
-            raise ValueError("pesr_mu must lie in [5, 10]")
-        if self.elimination_exponent <= 10:
-            raise ValueError("elimination_exponent must exceed 10")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        check_ranges(self)
 
     @property
     def elimination_threshold(self) -> float:
@@ -417,9 +424,9 @@ def recursive_covariance(
     samples, then applies sigma(t+1) = (1-zeta)*sigma(t) + zeta*u1(t)*u2(t),
     run as the one-pole filter z / (1 - (1-z) q^-1) over u1*u2.
     """
-    if not (0.0 < forgetting < 1.0):
+    if not FORGETTING.holds(forgetting):
         raise InvalidForgettingError(
-            f"forgetting factor must lie in (0, 1), got {forgetting}"
+            f"forgetting factor must be {FORGETTING}, got {forgetting}"
         )
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 ELECTRODE_ORDER = ("Fz", "C3", "Cz", "C4", "Pz")
 
@@ -50,11 +50,11 @@ IMAGE_PAIRS = tuple(
 _DOWNSAMPLE_BLOCK = 5
 
 
-class InvalidCropError(ValueError):
+class InvalidCropError(DataError):
     """Crop parameters inconsistent with the trial."""
 
 
-class IncompleteInputError(KeyError):
+class IncompleteInputError(DataError, KeyError):
     """A required directed causality map is missing."""
 
 

@@ -24,9 +24,10 @@ from itertools import islice
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from . import boosting, convnet, gridio
+from . import boosting, bsplines, convnet, gridio
 from .causality import CgcConfig, InvalidRangeError, pairwise_maps
-from .identify import RofrConfig
+from .errors import ConfigError, DataError, Range, check_ranges
+from .identify import FORGETTING, MAX_GRAM_BYTES, RofrConfig
 from .images import (
     ELECTRODE_ORDER,
     IMAGE_PAIRS,
@@ -39,18 +40,10 @@ from .images import (
 )
 
 LABEL_CODES = {"left": 1, "right": -1}
+LABEL_NAMES = {code: name for name, code in LABEL_CODES.items()}
 
 
-class DataError(ValueError):
-    """Malformed manifests, trial files, or configuration data."""
-
-
-class ConfigError(ValueError):
-    """Bad configuration: unknown section or key, unparsable value, or a
-    value outside its range."""
-
-
-class InstabilityError(ValueError):
+class InstabilityError(ConfigError):
     """A synthetic generator would be unstable at some time point."""
 
 
@@ -81,75 +74,101 @@ class TrialSet:
         return len(self.trials)
 
 
+def _tuple_of(kind):
+    def parse(text):
+        return tuple(kind(tok.strip()) for tok in text.split(",") if tok.strip())
+
+    return parse
+
+
+def _bool(text):
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text}")
+
+
+def _key(default, section, parse, bound=None, keys=None):
+    """A setting of the config file: its ``[section]``, the parser of its
+    value and the range it must hold. A tuple setting may instead take one
+    key per item (``keys``), each parsed on its own."""
+    metadata = {"section": section, "parse": parse, "range": bound, "keys": keys}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a full run needs, with full-scale analysis defaults."""
+    """Everything a full run needs, with full-scale analysis defaults. Each
+    field is a setting of the config file (``_key``); a component config
+    built from the run (``RofrConfig``, ``ConvNetConfig``) checks the ranges
+    of the settings it owns."""
 
-    manifest: str | None = None
-    band: tuple[float, float] = (6.0, 15.0)
-    electrodes: tuple[str, ...] = ELECTRODE_ORDER
-    crop_seconds: float = 2.0
-    stride_seconds: float = 0.5
-    orders: tuple[int, ...] = (3, 4, 5)
-    scale: int = 3
-    lags: int = 3
-    forgetting: float = 0.02
-    init_window: int = 50
-    regularization: float | None = None
-    time_decimation: int = 1
-    temporal_kernel: int = 15
-    first_block_filters: int = 10
-    block_count: int = 2
-    batch_size: int = 16
-    max_epochs: int = 60
-    early_stop_patience: int = 15
-    chi: int = 5
-    seed: int = 0
-    threads: int = 1
-    out_dir: str | None = None
-    export_graymaps: bool = False
+    manifest: str | None = _key(None, "data", str)
+    band: tuple[float, float] = _key(
+        (6.0, 15.0), "data", float, keys=("band_low", "band_high")
+    )
+    electrodes: tuple[str, ...] = _key(ELECTRODE_ORDER, "data", _tuple_of(str))
+    crop_seconds: float = _key(2.0, "data", float)
+    stride_seconds: float = _key(0.5, "data", float)
+    orders: tuple[int, ...] = _key(
+        (3, 4, 5), "causality", _tuple_of(int), bsplines.ORDERS
+    )
+    scale: int = _key(3, "causality", int, bsplines.SCALES)
+    lags: int = _key(3, "causality", int, bsplines.LAGS)
+    forgetting: float = _key(0.02, "causality", float, FORGETTING)
+    init_window: int = _key(50, "causality", int, Range(1))
+    regularization: float | None = _key(None, "causality", float)
+    time_decimation: int = _key(1, "causality", int, Range(1))
+    temporal_kernel: int = _key(15, "classifier", int)
+    first_block_filters: int = _key(10, "classifier", int)
+    block_count: int = _key(2, "classifier", int)
+    batch_size: int = _key(16, "classifier", int, Range(1))
+    max_epochs: int = _key(60, "classifier", int, Range(1))
+    early_stop_patience: int = _key(15, "classifier", int)
+    chi: int = _key(5, "classifier", int, boosting.ROUNDS)
+    seed: int = _key(0, "run", int)
+    threads: int = _key(1, "run", int, Range(1))
+    out_dir: str | None = _key(None, "run", str)
+    export_graymaps: bool = _key(False, "run", _bool)
 
     def __post_init__(self):
-        """Reject a key outside its range, naming it, before anything runs."""
-        for section, key, holds, need in (
-            ("causality", "orders", min(self.orders, default=0) >= 1, "at least 1 each"),
-            ("causality", "scale", self.scale >= 0, "at least 0"),
-            ("causality", "lags", self.lags >= 1, "at least 1"),
-            ("causality", "forgetting", 0 < self.forgetting < 1, "in (0, 1)"),
-            ("causality", "init_window", self.init_window >= 1, "at least 1"),
-            ("causality", "regularization", (self.regularization or 0) >= 0, "at least 0"),
-            ("causality", "time_decimation", self.time_decimation >= 1, "at least 1"),
-            ("classifier", "batch_size", self.batch_size >= 1, "at least 1"),
-            ("classifier", "max_epochs", self.max_epochs >= 1, "at least 1"),
-            ("classifier", "chi", self.chi >= 1, "at least 1"),
-            ("run", "threads", self.threads >= 1, "at least 1"),
-        ):
-            if not holds:
-                raise ConfigError(
-                    f"[{section}] {key} must be {need}, got {getattr(self, key)!r}"
-                )
+        """Reject a setting outside its range, or a design too large to
+        search, before anything runs; the message names ``[section] key``."""
+        try:
+            check_ranges(self)
+            self.cgc_config()
+            self.convnet_config()
+        except ConfigError as exc:
+            key = {f.name: f for f in dataclasses.fields(self)}[exc.key]
+            raise type(exc)(f"[{key.metadata['section']}] {exc}") from exc
+        # the search reserves an m x m Gram buffer for the m design columns
+        bases = bsplines.basis_count(self.orders, self.scale)
+        m = len(self.electrodes) * self.lags * bases
+        if 8 * m * m > MAX_GRAM_BYTES:
+            size = (  # past 2**40 columns the figures overflow a float
+                f"{m:,} columns, whose Gram buffer needs {8 * m * m / 2**30:,.2f} GiB"
+                if m < 2**40
+                else "over 2**40 columns"
+            )
+            raise ConfigError(
+                f"[causality] scale {self.scale} makes a design of {size}, over "
+                f"the {MAX_GRAM_BYTES / 2**30:g} GiB bound"
+            )
+
+    def _component(self, table, **settings):
+        """A ``table`` config with the settings it shares with this run by
+        name, then ``settings``."""
+        shared = {f.name for f in dataclasses.fields(table)} & vars(self).keys()
+        shared -= settings.keys()
+        return table(**{name: getattr(self, name) for name in shared}, **settings)
 
     def cgc_config(self) -> CgcConfig:
-        return CgcConfig(
-            orders=self.orders,
-            scale=self.scale,
-            lags=self.lags,
-            rofr=RofrConfig(regularization=self.regularization),
-            forgetting=self.forgetting,
-            init_window=self.init_window,
-            time_decimation=self.time_decimation,
-        )
+        return self._component(CgcConfig, rofr=RofrConfig(self.regularization))
 
     def convnet_config(self, seed: int = 0) -> convnet.ConvNetConfig:
-        return convnet.ConvNetConfig(
-            temporal_kernel=self.temporal_kernel,
-            first_block_filters=self.first_block_filters,
-            block_count=self.block_count,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            early_stop_patience=self.early_stop_patience,
-            seed=seed,
-        )
+        return self._component(convnet.ConvNetConfig, seed=seed)
 
 
 def load_trials(manifest_path) -> TrialSet:
@@ -242,7 +261,6 @@ def save_trials(trial_set: TrialSet, directory) -> str:
     """Write a TrialSet as manifest + per-trial CSV files; returns manifest."""
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
-    inv = {v: k for k, v in LABEL_CODES.items()}
     lines = [f"# fs: {trial_set.sampling_rate:g}", "trial_file,label,split"]
     for trial in trial_set.trials:
         fname = f"{trial.trial_id}.csv"
@@ -253,7 +271,7 @@ def save_trials(trial_set: TrialSet, directory) -> str:
         gridio.atomic_write(
             os.path.join(directory, fname), (header + "\n" + body + "\n").encode()
         )
-        lines.append(f"{fname},{inv[trial.label]},{trial.split}")
+        lines.append(f"{fname},{LABEL_NAMES[trial.label]},{trial.split}")
     manifest = os.path.join(directory, "manifest.csv")
     gridio.atomic_write(manifest, ("\n".join(lines) + "\n").encode())
     return manifest
@@ -286,14 +304,18 @@ class SynthSpec:
     """
 
     channel_names: tuple[str, ...] = ELECTRODE_ORDER
-    sampling_rate: float = 250.0
-    trial_seconds: float = 4.0
-    trials_per_class: int = 30
-    coupling: float = 0.5
-    window: tuple[float, float] = (0.25, 0.75)
-    oscillation_freq: float = 10.0
-    pole_radius: float = 0.9
-    noise_scale: float = 1.0
+    sampling_rate: float = _key(250.0, "synth", float)
+    trial_seconds: float = _key(4.0, "synth", float)
+    trials_per_class: int = _key(30, "synth", int)
+    # a test split's count; None: trials_per_class
+    test_trials_per_class: int | None = _key(None, "synth", int)
+    coupling: float = _key(0.5, "synth", float)
+    window: tuple[float, float] = _key(
+        (0.25, 0.75), "synth", float, keys=("window_low", "window_high")
+    )
+    oscillation_freq: float = _key(10.0, "synth", float)
+    pole_radius: float = _key(0.9, "synth", float)
+    noise_scale: float = _key(1.0, "synth", float)
     split: str = "train"
 
     def schedules(self, label: int) -> dict:
@@ -335,15 +357,17 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
     a1 = 2 * spec.pole_radius * np.cos(omega)
     a2 = -spec.pole_radius**2
+    per_class = spec.trials_per_class
+    if spec.split == "test" and spec.test_trials_per_class is not None:
+        per_class = spec.test_trials_per_class
     trials = []
     truth = {}
     for label in (1, -1):
         schedules = spec.schedules(label)
         lo = int(spec.window[0] * n)
         hi = int(spec.window[1] * n)
-        for k in range(spec.trials_per_class):
-            name = "left" if label == 1 else "right"
-            trial_id = f"{spec.split}_{name}_{k:03d}"
+        for k in range(per_class):
+            trial_id = f"{spec.split}_{LABEL_NAMES[label]}_{k:03d}"
             seed_seq = np.random.SeedSequence(
                 [seed, 0 if label == 1 else 1, k]
             )
@@ -487,24 +511,45 @@ def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
             )
 
 
-def check_architecture(config: RunConfig, sampling_rate: float) -> None:
-    """Reject a classifier that cannot read the run's images, before imaging.
-
-    An image has one column per grid time of a crop,
-    ceil(crop samples / time_decimation); every convolution and pooling
-    stage must leave at least one.
-    """
-    cnn = config.convnet_config()
+def _image_columns(config: RunConfig, sampling_rate: float) -> tuple[int, str]:
+    """An image's column count, one per grid time of a crop,
+    ceil(crop samples / time_decimation), and how it follows from the run."""
     crop = round(sampling_rate * config.crop_seconds)
     width = -(-crop // config.time_decimation)
+    return width, f"crops of {crop} samples, time_decimation {config.time_decimation}"
+
+
+def check_architecture(config: RunConfig, sampling_rate: float) -> None:
+    """Reject a classifier that cannot read the run's images, before imaging:
+    every convolution and pooling stage must leave at least one column."""
+    width, made = _image_columns(config, sampling_rate)
     try:
-        convnet._time_lengths(cnn, width)
+        convnet._time_lengths(config.convnet_config(), width)
     except convnet.ArchitectureError as exc:
         raise convnet.ArchitectureError(
-            f"images of {width} time columns (crops of {crop} samples, "
-            f"time_decimation {config.time_decimation}) are too short for "
+            f"images of {width} time columns ({made}) are too short for "
             f"the classifier: {exc}"
         ) from exc
+
+
+def check_model_input(ensemble, config: RunConfig, sampling_rate: float, path) -> None:
+    """Reject a saved ensemble that cannot read the run's images, before imaging."""
+    width, made = _image_columns(config, sampling_rate)
+    shape = (config.convnet_config().spatial_height, width)
+    for member in ensemble.members:
+        if member.model.input_shape != shape:
+            raise DataError(
+                f"model {path} reads images of shape {member.model.input_shape}, "
+                f"this run makes {shape} ({made})"
+            )
+
+
+def check_training_split(train_set: TrialSet) -> None:
+    """Reject a training split without both classes, before imaging."""
+    present = {t.label for t in train_set.trials}
+    if len(present) < 2:
+        has = f"only {LABEL_NAMES[present.pop()]} trials" if present else "no trials"
+        raise DataError(f"training split must hold both classes, has {has}")
 
 
 def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
@@ -522,8 +567,7 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     filtered = bandpass(trial_set, *config.band)
     train_set = filtered.subset("train")
     test_set = filtered.subset("test")
-    if len(train_set) == 0:
-        raise DataError("training split is empty")
+    check_training_split(train_set)
     check_crop_parity(test_set, config)
     check_architecture(config, filtered.sampling_rate)
 
@@ -580,24 +624,19 @@ def _write_artifacts(config, report, ensemble, tr_images, te_images):
         os.path.join(out, "config.json"),
         json.dumps(snapshot, indent=2, sort_keys=True, default=repr).encode(),
     )
-    gridio.write_grid(
-        os.path.join(out, "train_images.grid"),
-        {"images": tr_images},
-        meta={"config": gridio.config_hash(config)},
-    )
+    stacks = [("train", tr_images)]
     if te_images is not None:
+        stacks.append(("test", te_images))
+    for tag, stack in stacks:
         gridio.write_grid(
-            os.path.join(out, "test_images.grid"),
-            {"images": te_images},
+            os.path.join(out, f"{tag}_images.grid"),
+            {"images": stack},
             meta={"config": gridio.config_hash(config)},
         )
     gridio.save_ensemble(os.path.join(out, "model"), ensemble)
     if config.export_graymaps:
         img_dir = os.path.join(out, "images")
         os.makedirs(img_dir, exist_ok=True)
-        stacks = [("train", tr_images)]
-        if te_images is not None:
-            stacks.append(("test", te_images))
         for tag, stack in stacks:
             for i, arr in enumerate(stack):
                 export_image(

@@ -1,9 +1,15 @@
+import collections
+import configparser
+import dataclasses
 import multiprocessing
+import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tfcgc import causality, cli, gridio, pipeline
+from tfcgc import boosting, causality, cli, convnet, gridio, identify, pipeline
 from tfcgc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -20,6 +26,10 @@ scale = 2
 lags = 2
 init_window = 20
 """
+
+
+#: a stand-in for a saved ensemble, so `eval` passes its model check
+NO_MEMBERS = boosting.BoostEnsemble([], 0, [], [], 0, 0)
 
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
@@ -418,7 +428,7 @@ class TestRunCommand:
             ),
             (
                 "[classifier]\ntemporal_kernel = 30\n",
-                "error: temporal kernel must lie in [10, 20]",
+                "error: [classifier] temporal_kernel must be in [10, 20], got 30",
             ),
             (
                 "time_decimation = 0\n",
@@ -469,36 +479,73 @@ def saved_trials(tmp_path_factory):
     return pipeline.save_trials(ts, data_dir), str(data_dir / "train_left_000.csv")
 
 
+#: one out-of-range setting per ranged key, with the message naming it
+RANGE_CASES = [
+    ("[causality]\nlags = 0\n", "[causality] lags must be at least 1, got 0"),
+    (
+        "[causality]\norders = 3, 0\n",
+        "[causality] orders must be at least 1 each, got (3, 0)",
+    ),
+    ("[causality]\nscale = -1\n", "[causality] scale must be at least 0, got -1"),
+    (
+        "[causality]\nforgetting = 1.5\n",
+        "[causality] forgetting must be in (0, 1), got 1.5",
+    ),
+    (
+        "[causality]\ninit_window = 0\n",
+        "[causality] init_window must be at least 1, got 0",
+    ),
+    (
+        "[causality]\nregularization = -1\n",
+        "[causality] regularization must be at least 0, got -1.0",
+    ),
+    (
+        "[causality]\ntime_decimation = 0\n",
+        "[causality] time_decimation must be at least 1, got 0",
+    ),
+    (
+        "[classifier]\ntemporal_kernel = 0\n",
+        "[classifier] temporal_kernel must be in [10, 20], got 0",
+    ),
+    (
+        "[classifier]\ntemporal_kernel = 30\n",
+        "[classifier] temporal_kernel must be in [10, 20], got 30",
+    ),
+    (
+        "[classifier]\nfirst_block_filters = 0\n",
+        "[classifier] first_block_filters must be at least 1, got 0",
+    ),
+    (
+        "[classifier]\nblock_count = 9\n",
+        "[classifier] block_count must be in [1, 5], got 9",
+    ),
+    (
+        "[classifier]\nbatch_size = 0\n",
+        "[classifier] batch_size must be at least 1, got 0",
+    ),
+    (
+        "[classifier]\nmax_epochs = 0\n",
+        "[classifier] max_epochs must be at least 1, got 0",
+    ),
+    ("[classifier]\nchi = 0\n", "[classifier] chi must be at least 1, got 0"),
+    ("[run]\nthreads = 0\n", "[run] threads must be at least 1, got 0"),
+]
+
+
 class TestConfigRanges:
+    def test_cases_cover_every_ranged_key(self):
+        run_keys = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+        ranged = {
+            f.name
+            for table in (pipeline.RunConfig, convnet.ConvNetConfig, identify.RofrConfig)
+            for f in dataclasses.fields(table)
+            if f.metadata.get("range") is not None
+        }
+        covered = {message.split()[1] for _, message in RANGE_CASES}
+        assert ranged & run_keys == covered
+
     @pytest.mark.parametrize("command", ["run", "train", "image", "eval", "causality"])
-    @pytest.mark.parametrize(
-        "settings, message",
-        [
-            ("[causality]\nlags = 0\n", "[causality] lags must be at least 1, got 0"),
-            (
-                "[causality]\norders = 3, 0\n",
-                "[causality] orders must be at least 1 each, got (3, 0)",
-            ),
-            ("[causality]\nscale = -1\n", "[causality] scale must be at least 0, got -1"),
-            (
-                "[causality]\nforgetting = 1.5\n",
-                "[causality] forgetting must be in (0, 1), got 1.5",
-            ),
-            (
-                "[causality]\ninit_window = 0\n",
-                "[causality] init_window must be at least 1, got 0",
-            ),
-            (
-                "[causality]\nregularization = -1\n",
-                "[causality] regularization must be at least 0, got -1.0",
-            ),
-            (
-                "[causality]\ntime_decimation = 0\n",
-                "[causality] time_decimation must be at least 1, got 0",
-            ),
-            ("[run]\nthreads = 0\n", "[run] threads must be at least 1, got 0"),
-        ],
-    )
+    @pytest.mark.parametrize("settings, message", RANGE_CASES)
     def test_rejected_before_imaging(
         self, tmp_path, capsys, monkeypatch, saved_trials, command, settings, message
     ):
@@ -531,7 +578,7 @@ class TestConfigElectrodes:
             raise AssertionError("imaging started")
 
         monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
-        monkeypatch.setattr(gridio, "load_ensemble", lambda path: None)
+        monkeypatch.setattr(gridio, "load_ensemble", lambda path: NO_MEMBERS)
         manifest, _ = saved_trials
         inputs = []
         if command == "eval":  # eval reads the test split
@@ -579,7 +626,7 @@ class TestSlowSampling:
 
         monkeypatch.setattr(pipeline, "pairwise_maps", no_imaging)
         monkeypatch.setattr(cli, "tf_cgc_map", no_imaging)
-        monkeypatch.setattr(gridio, "load_ensemble", lambda path: None)
+        monkeypatch.setattr(gridio, "load_ensemble", lambda path: NO_MEMBERS)
         sets = [
             pipeline.synth_generate(
                 pipeline.SynthSpec(
@@ -613,3 +660,121 @@ class TestSlowSampling:
             "grid: grid reaches 14.9 Hz, beyond Nyquist 12 Hz"
         )
         assert "Traceback" not in err
+
+
+def no_imaging(*args, **kwargs):
+    raise AssertionError("imaging started")
+
+
+class TestConfigTable:
+    README = pathlib.Path(__file__).parent.parent / "README.md"
+
+    def test_settable_key_count(self):
+        tables = collections.Counter(
+            table for keys in cli._SCHEMA.values() for table, _, _ in keys.values()
+        )
+        assert tables == {pipeline.RunConfig: 24, pipeline.SynthSpec: 10}
+
+    def test_readme_block_parses_to_defaults(self):
+        block = re.search(r"```ini\n(.*?)```", self.README.read_text(), re.S)
+        parser = configparser.ConfigParser()
+        parser.read_string(block.group(1))
+        keys = 0
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                _, f, item = cli._SCHEMA[section][key]
+                default = f.default if item is None else f.default[item]
+                assert f.metadata["parse"](raw) == default, f"[{section}] {key}"
+                keys += 1
+        assert keys >= 20
+
+
+class TestRejectedBeforeImaging:
+    def one_class_manifest(self, tmp_path):
+        train = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=2, trial_seconds=2.0), seed=0
+        )
+        test = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0, split="test"),
+            seed=1,
+        )
+        trials = [t for t in train.trials if t.label == 1] + test.trials
+        data = pipeline.TrialSet(trials, train.channel_names, 250.0)
+        return pipeline.save_trials(data, tmp_path / "data")
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_one_class_training_split(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
+        manifest = self.one_class_manifest(tmp_path)
+        cfg = write_cfg(tmp_path, CHEAP_CFG)
+        out = str(tmp_path / "out")
+        code = main([command, "--config", cfg, "--manifest", manifest, "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            "data error: training split must hold both classes, has only left trials"
+        )
+
+    def test_eval_model_of_other_image_width(self, tmp_path, capsys, monkeypatch):
+        model = convnet.build_convnet(convnet.ConvNetConfig(), (90, 50))
+        ensemble = boosting.BoostEnsemble(
+            members=[boosting.BoostMember(model, 1.0, 0.1)],
+            best_joint=1,
+            validation_accuracy=[1.0],
+            sample_weight_history=[],
+            n_train=2,
+            n_val=0,
+        )
+        path = gridio.save_ensemble(str(tmp_path / "model"), ensemble)
+        test = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0, split="test"),
+            seed=1,
+        )
+        manifest = pipeline.save_trials(test, tmp_path / "data")
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
+        cfg = write_cfg(tmp_path, CHEAP_CFG + "time_decimation = 5\n")
+        code = main(["eval", "--config", cfg, "--manifest", manifest, "--model", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: model {path} reads images of shape (90, 50), this run "
+            "makes (90, 100) (crops of 500 samples, time_decimation 5)"
+        )
+
+    @pytest.mark.parametrize("missing", ["images", "labels"])
+    def test_gridsearch_grid_without_array(self, tmp_path, capsys, missing):
+        arrays = {"images": np.zeros((4, 90, 64)), "labels": np.ones(4)}
+        del arrays[missing]
+        grid = str(tmp_path / "images.grid")
+        gridio.write_grid(grid, arrays)
+        code = main(["gridsearch", "--images", grid, "--folds", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == f"data error: {grid}: no {missing!r} array"
+
+    @pytest.mark.parametrize(
+        "scale, size",
+        [
+            (12, "184,500 columns, whose Gram buffer needs 253.62 GiB"),
+            (100000, "over 2**40 columns"),
+        ],
+    )
+    def test_oversized_design(self, tmp_path, capsys, monkeypatch, scale, size):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("trials read")
+
+        monkeypatch.setattr(pipeline, "load_trials", no_reading)
+        cfg = write_cfg(tmp_path, f"[causality]\nscale = {scale}\n")
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", cfg, "--manifest", str(tmp_path / "m.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == (
+            f"error: [causality] scale {scale} makes a design of {size}, "
+            "over the 1 GiB bound"
+        )
+        assert peak < 2**20
