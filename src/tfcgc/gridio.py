@@ -202,22 +202,27 @@ def load_ensemble(manifest_path):
     from .boosting import BoostEnsemble, BoostMember
 
     manifest_path = str(manifest_path)
-    with open(manifest_path, encoding="ascii") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "ensemble" or manifest.get("version") != 1:
-        raise FormatError("not a version-1 ensemble manifest")
+    try:
+        with open(manifest_path, encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not JSON, or not ASCII
+        raise FormatError(f"{manifest_path}: not a JSON file ({exc})") from exc
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("kind") != "ensemble"
+        or manifest.get("version") != 1
+    ):
+        raise FormatError(f"{manifest_path}: not a version-1 ensemble manifest")
+    try:
+        entries = [(e["file"], e["weight"], e["weighted_error"]) for e in manifest["members"]]
+        fields = {k: manifest[k] for k in ("best_joint", "validation_accuracy", "n_train", "n_val")}
+    except KeyError as exc:
+        raise FormatError(f"{manifest_path}: ensemble manifest has no {exc} field") from exc
+    except TypeError as exc:
+        raise FormatError(f"{manifest_path}: malformed ensemble manifest ({exc})") from exc
     directory = os.path.dirname(manifest_path) or "."
-    members = []
-    for entry in manifest["members"]:
-        model = load_convnet(os.path.join(directory, entry["file"]))
-        members.append(
-            BoostMember(model, entry["weight"], entry["weighted_error"])
-        )
-    return BoostEnsemble(
-        members=members,
-        best_joint=manifest["best_joint"],
-        validation_accuracy=manifest["validation_accuracy"],
-        sample_weight_history=[],
-        n_train=manifest["n_train"],
-        n_val=manifest["n_val"],
-    )
+    members = [
+        BoostMember(load_convnet(os.path.join(directory, file)), weight, error)
+        for file, weight, error in entries
+    ]
+    return BoostEnsemble(members=members, sample_weight_history=[], **fields)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.signal import lfilter
 
 from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
 from .errors import (
@@ -406,12 +404,13 @@ def solve_parameters(
     residual r, Phi^T Phi d = Phi^T r is solved through
     Phi^T Phi = V^T diag(norms) V, and Pi + d is returned.
     """
-    # LAPACK directly: scipy's solve_triangular wrapper takes tens of
-    # microseconds a call, longer than these q x q solves
-    pi = dtrtrs(triangular, projections / norms, unitdiag=1)[0]
+    # partial pivoting factors the unit upper triangular V as I V, so its
+    # solves are back-substitutions; on V^T it may exchange rows, which
+    # only rounds the small correction step differently
+    pi = np.linalg.solve(triangular, projections / norms)
     gradient = phi.T @ (target - phi @ pi)
-    step = dtrtrs(triangular, gradient, trans=1, unitdiag=1)[0]
-    pi += dtrtrs(triangular, step / norms, unitdiag=1)[0]
+    step = np.linalg.solve(triangular.T, gradient)
+    pi += np.linalg.solve(triangular, step / norms)
     return pi, target - phi @ pi
 
 
@@ -421,8 +420,8 @@ def recursive_covariance(
     """Exponentially forgetting covariance trace.
 
     Seeds with the sample mean of u1*u2 over the first ``init_window``
-    samples, then applies sigma(t+1) = (1-zeta)*sigma(t) + zeta*u1(t)*u2(t),
-    run as the one-pole filter z / (1 - (1-z) q^-1) over u1*u2.
+    samples, then applies sigma(t+1) = (1-zeta)*sigma(t) + zeta*u1(t)*u2(t)
+    one sample at a time, rounding as that formula reads.
     """
     if not FORGETTING.holds(forgetting):
         raise InvalidForgettingError(
@@ -436,10 +435,13 @@ def recursive_covariance(
     if not (1 <= init_window <= n):
         raise ValueError("init_window must lie in [1, len(series)]")
     prod = u1 * u2
-    sigma0 = prod[:init_window].mean()
-    z = forgetting
-    tail, _ = lfilter([z], [1.0, z - 1.0], prod[:-1], zi=[(1.0 - z) * sigma0])
-    return np.concatenate(([sigma0], tail))
+    sigma = float(prod[:init_window].mean())
+    forgetting = float(forgetting)
+    keep = 1.0 - forgetting
+    # a sequential recursion: Python floats step faster than numpy scalars
+    return np.array(
+        [sigma] + [sigma := keep * sigma + v for v in (forgetting * prod[:-1]).tolist()]
+    )
 
 
 @dataclass

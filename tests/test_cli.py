@@ -18,6 +18,7 @@ from tfcgc.cli import (
     build_run_config,
     main,
 )
+from tfcgc.images import ELECTRODE_ORDER
 
 CHEAP_CFG = """
 [causality]
@@ -778,3 +779,50 @@ class TestRejectedBeforeImaging:
             "over the 1 GiB bound"
         )
         assert peak < 2**20
+
+
+class TestShortTrial:
+    """A trial too short for the band-pass's edge extension exits 2 naming it."""
+
+    @pytest.mark.parametrize("command", ["run", "image"])
+    def test_rejected_with_its_length(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(0)
+        trials = [
+            pipeline.Trial(rng.standard_normal((5, 500)), 1, "long", "train"),
+            pipeline.Trial(rng.standard_normal((5, 20)), -1, "short", "train"),
+        ]
+        manifest = pipeline.save_trials(
+            pipeline.TrialSet(trials, ELECTRODE_ORDER, 250.0), tmp_path / "data"
+        )
+        cfg = write_cfg(tmp_path, CHEAP_CFG)
+        out = str(tmp_path / "out")
+        code = main([command, "--config", cfg, "--manifest", manifest, "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            "data error: trial short: 20 samples, the band-pass needs at least 28"
+        )
+
+
+class TestMalformedEnsemble:
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("members: none\n", "not a JSON file (Expecting value: line 1 column 1 (char 0))"),
+            ('{"kind": "ensemble", "version": 1}', "ensemble manifest has no 'members' field"),
+        ],
+        ids=["not-json", "no-members"],
+    )
+    def test_eval_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch, text, problem):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("trials read")
+
+        monkeypatch.setattr(pipeline, "load_trials", no_reading)
+        model = tmp_path / "model.ensemble.json"
+        model.write_text(text)
+        code = main(
+            ["eval", "--manifest", str(tmp_path / "m.csv"), "--model", str(model)]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == f"data error: {model}: {problem}"

@@ -149,6 +149,13 @@ class TestBandpass:
         # symmetric up to the filter's own round-off at the padded edges
         np.testing.assert_allclose(out, out[::-1], atol=1e-6 * np.abs(out).max())
 
+    def test_shortest_trial(self):
+        rng = np.random.default_rng(5)
+        out = bandpass(self.make_set(rng.standard_normal(28)), 6.0, 15.0)
+        assert out.trials[0].data.shape == (1, 28)
+        with pytest.raises(DataError, match="^trial t0: 27 samples, the band-pass needs at least 28$"):
+            bandpass(self.make_set(rng.standard_normal(27)), 6.0, 15.0)
+
     def test_invalid_band(self):
         ts = self.make_set(np.zeros(100))
         with pytest.raises(DataError):
