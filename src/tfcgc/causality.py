@@ -362,8 +362,6 @@ class CgcMap:
     freq_axis: np.ndarray  # Hz
     values: np.ndarray  # (T, F), >= 0
     sampling_rate: float
-    significance_mask: np.ndarray | None = None
-    test_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.values.shape != (self.time_axis.size, self.freq_axis.size):
@@ -595,8 +593,7 @@ def significance_test(
 
     Each surrogate shifts the source by at least 0.1 N samples, recomputes
     the map, and the per-cell threshold is the empirical (1 - level)
-    quantile of the surrogate ensemble.  Returns the boolean mask and
-    attaches it (with metadata) to the map.
+    quantile of the surrogate ensemble.  Returns the boolean mask.
     """
     config = config or CgcConfig()
     if n_surrogates < 1:
@@ -629,12 +626,4 @@ def significance_test(
         full = fit_system(surr, [sink, source] + conditioning, config)
         ensemble[s] = _pair_values(full, restricted, fs, freqs, time_indices)[0]
     threshold = np.quantile(ensemble, 1.0 - level, axis=0, method="higher")
-    mask = cgc_map.values > threshold
-    cgc_map.significance_mask = mask
-    cgc_map.test_meta = {
-        "n_surrogates": n_surrogates,
-        "level": level,
-        "seed": seed,
-        "mechanism": "circular-shift",
-    }
-    return mask
+    return cgc_map.values > threshold

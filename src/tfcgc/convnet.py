@@ -41,7 +41,7 @@ class ConvNetConfig:
     block_count: int = ranged(2, Range(1, 5))
     spatial_height: int = 90
     dropout_rate: float = ranged(0.5, Range(0, 1, "[)"))
-    pool_factor: int = 2
+    pool_factor: int = ranged(2, Range(1))
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999

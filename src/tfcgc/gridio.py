@@ -11,8 +11,8 @@ files.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -46,6 +46,8 @@ def atomic_write(path, data: bytes) -> None:
 
 def config_hash(config) -> str:
     """Stable short hash of a dataclass or mapping, for header stamping."""
+    import hashlib  # loaded on first use, so importing the package skips OpenSSL
+
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         payload = dataclasses.asdict(config)
     else:
@@ -63,25 +65,51 @@ def _pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
 
 
 def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a file written by ``_pack``: its header and its named arrays."""
+    """Read a file written by ``_pack``: its header and its named arrays.
+    Any departure from that layout is a FormatError naming the file."""
     with open(str(path), "rb") as fh:
         data = fh.read()
     if data[: len(magic)] != magic:
-        raise FormatError(f"bad magic, expected {magic!r}")
-    off = len(magic)
-    (hlen,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    header = json.loads(data[off : off + hlen].decode())
+        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+    off = len(magic) + 8
+    if len(data) < off:
+        raise FormatError(f"{path}: {len(data)} bytes, too short for a {kind} header")
+    (hlen,) = struct.unpack_from("<Q", data, len(magic))
+    if hlen > len(data) - off:
+        raise FormatError(f"{path}: {kind} header of {hlen} bytes runs past the file")
+    try:
+        header = json.loads(data[off : off + hlen].decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{path}: {kind} header is not JSON ({exc})") from exc
+    entries = header.get("entries") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(
+            f"{path}: {kind} header is not an object with a list of entries"
+        )
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"])
+        ):
+            raise FormatError(
+                f"{path}: {kind} entry {entry!r} needs a name and a shape of "
+                "non-negative integers"
+            )
     off += hlen
+    sizes = [8 * math.prod(entry["shape"]) for entry in entries]
+    if len(data) - off != sum(sizes):
+        problem = "truncated" if len(data) - off < sum(sizes) else "oversized"
+        raise FormatError(
+            f"{path}: {problem} {kind} payload, {len(data) - off} bytes where the "
+            f"header declares {sum(sizes)}"
+        )
     arrays = {}
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        if off + 8 * count > len(data):
-            raise FormatError(f"truncated {kind} payload")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
-        off += 8 * count
+    for entry, size in zip(entries, sizes):
+        arr = np.frombuffer(data, dtype="<f8", count=size // 8, offset=off)
+        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        off += size
     return header, arrays
 
 
@@ -136,8 +164,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     """Read back (config, tensors, extra) from a checkpoint file."""
     header, tensors = _unpack(CHECKPOINT_MAGIC, "checkpoint", path)
     if header.get("version") != 1:
-        raise FormatError(f"unsupported checkpoint version {header.get('version')}")
-    return header["config"], tensors, header.get("extra", {})
+        raise FormatError(
+            f"{path}: unsupported checkpoint version {header.get('version')}"
+        )
+    config, extra = header.get("config"), header.get("extra", {})
+    if not isinstance(config, dict) or not isinstance(extra, dict):
+        raise FormatError(f"{path}: checkpoint config and extra must be objects")
+    return config, tensors, extra
 
 
 def save_convnet(path, model) -> None:
@@ -153,16 +186,29 @@ def save_convnet(path, model) -> None:
 
 
 def load_convnet(path):
+    """A convolutional model from its checkpoint; the config must build a
+    network and every tensor of that network must be stored, in its shape."""
     from . import convnet
 
     config_block, tensors, extra = load_checkpoint(path)
-    config = convnet.ConvNetConfig(**config_block)
-    input_shape = tuple(extra["input_shape"])
-    model = convnet.build_convnet(config, input_shape)
-    for key in model.params:
-        model.params[key] = tensors[key]
-    for key in model.running:
-        model.running[key] = tensors[f"running:{key}"]
+    try:
+        config = convnet.ConvNetConfig(**config_block)
+        model = convnet.build_convnet(config, tuple(extra["input_shape"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: checkpoint does not build a network ({exc!r})"
+        ) from exc
+    for store, prefix in ((model.params, ""), (model.running, "running:")):
+        for key, initial in store.items():
+            name = prefix + key
+            if name not in tensors:
+                raise FormatError(f"{path}: checkpoint has no tensor {name!r}")
+            if tensors[name].shape != initial.shape:
+                raise FormatError(
+                    f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                    f"the network needs {initial.shape}"
+                )
+            store[key] = tensors[name]
     model.history = extra.get("history", [])
     return model
 

@@ -8,7 +8,7 @@ real matrix (frequency-location rows by time columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,7 +85,6 @@ class CausalityImage:
     """Assembled classifier input: 90 frequency-location rows by time cols."""
 
     values: np.ndarray
-    crop_ref: Crop | None = None
     electrode_order: tuple[str, ...] = ELECTRODE_ORDER
 
     def __post_init__(self) -> None:
@@ -184,7 +183,6 @@ def electrode_representation(
 def assemble_image(
     representations: Mapping[str, np.ndarray] | Sequence[np.ndarray],
     electrode_order: Sequence[str] = ELECTRODE_ORDER,
-    crop_ref: Crop | None = None,
 ) -> CausalityImage:
     """Stack electrode representations and down-sample in frequency.
 
@@ -214,7 +212,7 @@ def assemble_image(
         )
     pooled = stacked.reshape(t, wide // _DOWNSAMPLE_BLOCK, _DOWNSAMPLE_BLOCK)
     pooled = pooled.mean(axis=2)
-    return CausalityImage(pooled.T, crop_ref, tuple(electrode_order))
+    return CausalityImage(pooled.T, tuple(electrode_order))
 
 
 def export_image(image: CausalityImage, path) -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -180,8 +180,7 @@ def load_trials(manifest_path) -> TrialSet:
     manifest_path = str(manifest_path)
     base = os.path.dirname(manifest_path)
     try:
-        with open(manifest_path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in _read_ascii_lines(manifest_path) if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
@@ -193,6 +192,10 @@ def load_trials(manifest_path) -> TrialSet:
         fs = float(sidecar.partition(":")[2])
     except ValueError as exc:
         raise DataError(f"{manifest_path}:1: bad sampling rate") from exc
+    if not (math.isfinite(fs) and fs > 0):
+        raise DataError(
+            f"{manifest_path}:1: sampling rate must be finite and positive, got {fs:g}"
+        )
     if len(lines) < 2 or lines[1] != "trial_file,label,split":
         raise DataError(
             f"{manifest_path}:2: header must be 'trial_file,label,split'"
@@ -226,31 +229,41 @@ def load_trials(manifest_path) -> TrialSet:
     return TrialSet(trials, channel_names, fs)
 
 
+def _read_ascii_lines(path) -> list[str]:
+    """The lines of an ASCII text file, split as text mode splits them; a
+    byte outside ASCII is a DataError naming the file and its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not ASCII"
+        ) from exc
+    return io.StringIO(text, newline=None).readlines()
+
+
 def _load_trial_csv(path):
     try:
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline().strip()
-            names = tuple(h.strip() for h in header.split(","))
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                cells = line.strip().split(",")
-                if len(cells) != len(names):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(names)} columns"
-                    )
-                try:
-                    row = [float(c) for c in cells]
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric cell"
-                    ) from exc
-                if not all(map(math.isfinite, row)):
-                    raise DataError(f"{path}:{lineno}: non-finite sample")
-                rows.append(row)
+        lines = _read_ascii_lines(path)
     except OSError as exc:
         raise DataError(f"missing trial file: {path}") from exc
+    names = tuple(h.strip() for h in (lines[0] if lines else "").strip().split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        if len(cells) != len(names):
+            raise DataError(f"{path}:{lineno}: expected {len(names)} columns")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric cell") from exc
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}:{lineno}: non-finite sample")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no samples")
     return np.array(rows).T, names
@@ -439,7 +452,13 @@ def _check_stability(spec: SynthSpec) -> None:
 
 
 def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
-    """Seeded two-class fixture with ground-truth schedules attached."""
+    """Seeded two-class fixture with ground-truth schedules attached.
+
+    Trial k of a class draws its noise from ``SeedSequence([seed, class, k])``.
+    Every trial of the call is one column of a (samples, trials, channels)
+    state that one time loop advances; each class couples its own block of
+    trials inside the window.
+    """
     _check_stability(spec)
     n = int(round(spec.sampling_rate * spec.trial_seconds))
     n_ch = len(spec.channel_names)
@@ -450,26 +469,40 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     per_class = spec.trials_per_class
     if spec.split == "test" and spec.test_trials_per_class is not None:
         per_class = spec.test_trials_per_class
+    lo = int(spec.window[0] * n)
+    hi = int(spec.window[1] * n)
+    labels = (1, -1)
+    # x[t] = (a1 x[t-1] + a2 x[t-2]) + e[t] from x[0] = x[1] = 0, rounded in
+    # that order; the state overwrites the noise it starts as, time-major so
+    # that each step reads and writes contiguous (trials, channels) rows
+    x = np.empty((n, len(labels) * per_class, n_ch))
+    for c, label in enumerate(labels):
+        for k in range(per_class):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, c, k]))
+            x[:, c * per_class + k] = rng.standard_normal((n_ch, n)).T
+    x *= spec.noise_scale
+    x[:2] = 0.0
+    couplings = [
+        (slice(c * per_class, (c + 1) * per_class), index[src], index[dst], strength)
+        for c, label in enumerate(labels)
+        for (src, dst), (strength, _) in spec.schedules(label).items()
+    ]
+    lagged = np.empty(x.shape[1:])
+    for t in range(2, n):
+        np.multiply(a1, x[t - 1], out=lagged)
+        lagged += a2 * x[t - 2]
+        x[t] += lagged
+        if lo <= t < hi:
+            for block, src, dst, strength in couplings:
+                x[t, block, dst] += strength * x[t - 1, block, src]
     trials = []
     truth = {}
-    for label in (1, -1):
+    for c, label in enumerate(labels):
         schedules = spec.schedules(label)
-        lo = int(spec.window[0] * n)
-        hi = int(spec.window[1] * n)
         for k in range(per_class):
             trial_id = f"{spec.split}_{LABEL_NAMES[label]}_{k:03d}"
-            seed_seq = np.random.SeedSequence(
-                [seed, 0 if label == 1 else 1, k]
-            )
-            rng = np.random.default_rng(seed_seq)
-            e = spec.noise_scale * rng.standard_normal((n_ch, n))
-            x = np.zeros((n_ch, n))
-            for t in range(2, n):
-                x[:, t] = a1 * x[:, t - 1] + a2 * x[:, t - 2] + e[:, t]
-                if lo <= t < hi:
-                    for (src, dst), (strength, _) in schedules.items():
-                        x[index[dst], t] += strength * x[index[src], t - 1]
-            trials.append(Trial(x, label, trial_id, spec.split))
+            data = np.ascontiguousarray(x[:, c * per_class + k].T)
+            trials.append(Trial(data, label, trial_id, spec.split))
             truth[trial_id] = {
                 f"{src}->{dst}": [strength, lo, hi]
                 for (src, dst), (strength, _) in schedules.items()
@@ -527,7 +560,12 @@ def _imaging(trial_sets, config: RunConfig):
     """
     splits = [_crop_units(trial_set, config) for trial_set in trial_sets]
     units = [unit for split in splits for unit in split[0]]
-    pool = ProcessPoolExecutor(config.threads) if config.threads > 1 else None
+    pool = None
+    if config.threads > 1:
+        # imported here, so a single-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(config.threads)
     try:
         images = (pool.map if pool else map)(_crop_image_unit, units)
         yield (

@@ -1,9 +1,11 @@
 import collections
 import configparser
 import dataclasses
+import json
 import multiprocessing
 import pathlib
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -826,3 +828,181 @@ class TestMalformedEnsemble:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {model}: {problem}"
+
+
+def grid_bytes(header, payload=b""):
+    """A grid file: the magic, the header's length and text, then ``payload``."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return gridio.GRID_MAGIC + struct.pack("<Q", len(head)) + head + payload
+
+
+LABELS_ONLY = {"entries": [{"name": "labels", "shape": [2]}]}
+
+
+class TestMalformedGrid:
+    """Every malformed grid exits 2 from `gridsearch --images`, naming the file."""
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (gridio.GRID_MAGIC, "8 bytes, too short for a grid header"),
+            (b"NOTAGRID" + bytes(16), "bad magic, expected b'TFCGRID1'"),
+            (
+                gridio.GRID_MAGIC + struct.pack("<Q", 1000) + b"{}",
+                "grid header of 1000 bytes runs past the file",
+            ),
+            (grid_bytes(b"\xff{}"), "grid header is not JSON ("),
+            (grid_bytes(b"{entries"), "grid header is not JSON ("),
+            (grid_bytes([1, 2]), "grid header is not an object with a list of entries"),
+            (grid_bytes({"kind": "grid"}), "grid header is not an object with a list of entries"),
+            (
+                grid_bytes({"entries": [{"shape": [2]}]}),
+                "grid entry {'shape': [2]} needs a name and a shape of non-negative integers",
+            ),
+            (
+                grid_bytes({"entries": [{"name": "labels"}]}),
+                "grid entry {'name': 'labels'} needs a name and a shape of "
+                "non-negative integers",
+            ),
+            (
+                grid_bytes({"entries": [{"name": "labels", "shape": [-1, 2]}]}),
+                "grid entry {'name': 'labels', 'shape': [-1, 2]} needs a name and a "
+                "shape of non-negative integers",
+            ),
+            (
+                grid_bytes(LABELS_ONLY, bytes(8)),
+                "truncated grid payload, 8 bytes where the header declares 16",
+            ),
+            (
+                grid_bytes(LABELS_ONLY, bytes(24)),
+                "oversized grid payload, 24 bytes where the header declares 16",
+            ),
+        ],
+        ids=[
+            "magic-only", "bad-magic", "header-past-end", "header-not-utf8",
+            "header-not-json", "header-not-object", "no-entries", "entry-no-name",
+            "entry-no-shape", "negative-dimension", "short-payload", "long-payload",
+        ],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, content, problem):
+        grid = tmp_path / "images.grid"
+        grid.write_bytes(content)
+        code = main(["gridsearch", "--images", str(grid), "--folds", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip().startswith(f"data error: {grid}: {problem}")
+        assert "Traceback" not in err
+
+
+class TestMalformedCheckpoint:
+    """A member checkpoint that does not build its network exits 2 from `eval`."""
+
+    def damaged_model(self, tmp_path, damage):
+        model = convnet.build_convnet(convnet.ConvNetConfig(), (90, 50))
+        ensemble = boosting.BoostEnsemble(
+            members=[boosting.BoostMember(model, 1.0, 0.1)],
+            best_joint=1,
+            validation_accuracy=[1.0],
+            sample_weight_history=[],
+            n_train=2,
+            n_val=0,
+        )
+        path = gridio.save_ensemble(str(tmp_path / "model"), ensemble)
+        member = str(tmp_path / "model.member1.ckpt")
+        config, tensors, extra = gridio.load_checkpoint(member)
+        damage(config, tensors)
+        gridio.save_checkpoint(member, config, tensors, extra)
+        return path, member
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (
+                lambda config, tensors: tensors.pop("dense/b"),
+                "checkpoint has no tensor 'dense/b'",
+            ),
+            (
+                lambda config, tensors: tensors.pop("running:block1/var"),
+                "checkpoint has no tensor 'running:block1/var'",
+            ),
+            (
+                lambda config, tensors: config.update(width=3),
+                "checkpoint does not build a network (TypeError(",
+            ),
+            (
+                lambda config, tensors: config.update(pool_factor=0),
+                "checkpoint does not build a network (ArchitectureError("
+                "'pool_factor must be at least 1, got 0'))",
+            ),
+            (
+                lambda config, tensors: tensors.update({"dense/b": np.zeros(3)}),
+                "tensor 'dense/b' has shape (3,), the network needs (2,)",
+            ),
+        ],
+        ids=[
+            "no-tensor", "no-running-tensor", "unknown-config-key", "zero-pool-factor",
+            "tensor-shape",
+        ],
+    )
+    def test_eval_exits_2_naming_the_checkpoint(
+        self, tmp_path, capsys, monkeypatch, damage, problem
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("trials read")
+
+        monkeypatch.setattr(pipeline, "load_trials", no_reading)
+        path, member = self.damaged_model(tmp_path, damage)
+        code = main(["eval", "--manifest", str(tmp_path / "m.csv"), "--model", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip().startswith(f"data error: {member}: {problem}")
+
+
+class TestMalformedText:
+    """Manifests and trial CSVs with a byte outside ASCII, or a sampling rate
+    that is not finite and positive, exit 2 naming the file and line."""
+
+    def saved(self, tmp_path):
+        ts = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=0.5), seed=0
+        )
+        manifest = pathlib.Path(pipeline.save_trials(ts, tmp_path / "data"))
+        return manifest, tmp_path / "data" / "train_left_000.csv"
+
+    def test_manifest_not_ascii(self, tmp_path, capsys):
+        manifest, _ = self.saved(tmp_path)
+        lines = manifest.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"left", b"l\xc3\xa9ft")
+        manifest.write_bytes(b"\n".join(lines))
+        code = main(["image", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == f"data error: {manifest}:3: byte 0xc3 is not ASCII"
+
+    @pytest.mark.parametrize("command", ["image", "causality"])
+    def test_trial_csv_not_ascii(self, tmp_path, capsys, command):
+        manifest, trial = self.saved(tmp_path)
+        lines = trial.read_bytes().split(b"\n")
+        lines[2] += b"\xb5"
+        trial.write_bytes(b"\n".join(lines))
+        if command == "image":
+            argv = ["image", "--manifest", str(manifest)]
+        else:
+            argv = ["causality", "--trial", str(trial), "--source", "C4", "--sink", "C3"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == f"data error: {trial}:3: byte 0xb5 is not ASCII"
+
+    @pytest.mark.parametrize("fs", ["nan", "inf", "-250", "0"])
+    def test_sampling_rate_refused(self, tmp_path, capsys, fs):
+        manifest, _ = self.saved(tmp_path)
+        text = manifest.read_text().replace("# fs: 250", f"# fs: {fs}")
+        manifest.write_text(text)
+        code = main(["image", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: {manifest}:1: sampling rate must be finite and positive, "
+            f"got {float(fs):g}"
+        )

@@ -1,10 +1,14 @@
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfcgc import convnet
 from tfcgc.boosting import adaboost_train, ensemble_predict
+from tfcgc.errors import DataError
 from tfcgc.gridio import (
     FormatError,
     config_hash,
@@ -55,6 +59,63 @@ class TestGrid:
         write_grid(tmp_path / "a.grid", {"v": np.zeros((2, 2))})
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
+
+
+def small_grid(path):
+    """A valid grid of two arrays with axes and metadata."""
+    write_grid(
+        path,
+        {"values": np.arange(6.0).reshape(2, 3), "labels": np.array([1.0, -1.0])},
+        axes={"time": [1, 2]},
+        meta={"source": "C3"},
+    )
+
+
+def small_checkpoint(path):
+    """A valid checkpoint of a one-block network."""
+    cfg = convnet.ConvNetConfig(
+        temporal_kernel=3, first_block_filters=2, block_count=1, spatial_height=4
+    )
+    save_convnet(path, convnet.build_convnet(cfg, (4, 20)))
+
+
+DAMAGED = pytest.mark.parametrize(
+    "write, load", [(small_grid, read_grid), (small_checkpoint, load_convnet)],
+    ids=["grid", "checkpoint"],
+)
+
+
+class TestDamagedFile:
+    """Every truncation and every single-byte change of a small valid grid or
+    checkpoint either loads or raises a DataError that names the file."""
+
+    @DAMAGED
+    def test_every_truncation(self, tmp_path, write, load):
+        path = tmp_path / "cut"
+        write(path)
+        data = path.read_bytes()
+        for length in range(len(data)):
+            path.write_bytes(data[:length])
+            with pytest.raises(DataError, match=re.escape(str(path))):
+                load(path)
+
+    @DAMAGED
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(position=st.integers(min_value=0), byte=st.integers(0, 255))
+    def test_single_byte_change(self, tmp_path, write, load, position, byte):
+        path = tmp_path / "changed"
+        write(path)
+        data = bytearray(path.read_bytes())
+        data[position % len(data)] = byte
+        path.write_bytes(bytes(data))
+        try:
+            load(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
 
 class TestCheckpoint:

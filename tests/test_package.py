@@ -45,3 +45,33 @@ def test_runtime_imports_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+#: images one short trial on one process, then lists the pool's modules
+NO_POOL_PROBE = """
+import sys
+import tfcgc
+from tfcgc import pipeline
+
+spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
+trials = pipeline.bandpass(pipeline.synth_generate(spec), 6.0, 15.0)
+config = pipeline.RunConfig(
+    orders=(3,), scale=1, lags=2, init_window=20, time_decimation=10, threads=1
+)
+pipeline.trial_images(trials, config)
+print(sorted(
+    m for m in sys.modules
+    if m == "concurrent.futures.process" or m.split(".")[0] == "multiprocessing"
+))
+"""
+
+
+def test_single_process_run_loads_no_pool():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_POOL_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -204,6 +204,87 @@ class TestSynthGenerate:
         assert sorted(t.label for t in ts.trials) == [-1, -1, 1, 1]
 
 
+def reference_synth(spec, seed):
+    """The generator one trial at a time, one recursion step per sample:
+    the oracle for ``synth_generate``.  Returns (data, label, id, split)
+    per trial and the ground truth."""
+    n = int(round(spec.sampling_rate * spec.trial_seconds))
+    n_ch = len(spec.channel_names)
+    index = {name: i for i, name in enumerate(spec.channel_names)}
+    omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
+    a1 = 2 * spec.pole_radius * np.cos(omega)
+    a2 = -spec.pole_radius**2
+    per_class = spec.trials_per_class
+    if spec.split == "test" and spec.test_trials_per_class is not None:
+        per_class = spec.test_trials_per_class
+    trials, truth = [], {}
+    for label in (1, -1):
+        schedules = spec.schedules(label)
+        lo = int(spec.window[0] * n)
+        hi = int(spec.window[1] * n)
+        for k in range(per_class):
+            trial_id = f"{spec.split}_{'left' if label == 1 else 'right'}_{k:03d}"
+            seed_seq = np.random.SeedSequence([seed, 0 if label == 1 else 1, k])
+            rng = np.random.default_rng(seed_seq)
+            e = spec.noise_scale * rng.standard_normal((n_ch, n))
+            x = np.zeros((n_ch, n))
+            for t in range(2, n):
+                x[:, t] = a1 * x[:, t - 1] + a2 * x[:, t - 2] + e[:, t]
+                if lo <= t < hi:
+                    for (src, dst), (strength, _) in schedules.items():
+                        x[index[dst], t] += strength * x[index[src], t - 1]
+            trials.append((x, label, trial_id, spec.split))
+            truth[trial_id] = {
+                f"{src}->{dst}": [strength, lo, hi]
+                for (src, dst), (strength, _) in schedules.items()
+            }
+    return trials, truth
+
+
+class TestSynthReference:
+    """One time loop over every trial equals the per-trial recursion bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (SynthSpec(trials_per_class=30, trial_seconds=4.0), 11),
+            (SynthSpec(trials_per_class=20, split="test"), 77),
+            (SynthSpec(trials_per_class=5, trial_seconds=4.0), 2001),
+            (
+                SynthSpec(
+                    trials_per_class=5, test_trials_per_class=1,
+                    trial_seconds=4.0, split="test",
+                ),
+                2002,
+            ),
+            (SynthSpec(trials_per_class=3, test_trials_per_class=0, split="test"), 5),
+            (
+                SynthSpec(
+                    trials_per_class=2, trial_seconds=1.0, window=(0.0, 1.0),
+                    coupling=0.3, noise_scale=2.5, oscillation_freq=12.0,
+                    pole_radius=0.8,
+                ),
+                3,
+            ),
+            (SynthSpec(trials_per_class=2, trial_seconds=0.004), 1),
+        ],
+        ids=["crit15-train", "crit15-test", "decode-train", "decode-test",
+             "empty-test", "whole-window", "one-sample"],
+    )
+    def test_equals_per_trial_recursion(self, spec, seed):
+        got = synth_generate(spec, seed)
+        trials, truth = reference_synth(spec, seed)
+        assert len(got.trials) == len(trials)
+        for trial, (data, label, trial_id, split) in zip(got.trials, trials):
+            assert (trial.label, trial.trial_id, trial.split) == (label, trial_id, split)
+            assert trial.data.shape == data.shape
+            assert trial.data.flags.c_contiguous
+            assert trial.data.tobytes() == data.tobytes()
+        assert got.metadata["ground_truth"] == truth
+        assert got.channel_names == spec.channel_names
+        assert got.sampling_rate == spec.sampling_rate
+
+
 class TestTrialImages:
     def test_images_from_synth(self):
         ts = tiny_synth(trials_per_class=1, seconds=2.0)
