@@ -43,10 +43,6 @@ class BoostEnsemble:
     n_train: int
     n_val: int
 
-    @property
-    def best_validation_accuracy(self) -> float:
-        return self.validation_accuracy[self.best_joint - 1]
-
 
 def _member_predict(model, images) -> np.ndarray:
     if hasattr(model, "predict"):

@@ -93,13 +93,6 @@ class BSplineSpec:
                 f"scale {self.scale}"
             )
 
-    @property
-    def support(self) -> tuple[float, float]:
-        """Support on the normalized axis, before clipping to [0, 1]."""
-        lo = self.shift / 2**self.scale
-        hi = (self.shift + self.order) / 2**self.scale
-        return (lo, hi)
-
 
 def basis_eval(spec: BSplineSpec, u):
     """Evaluate ``2**(j/2) * beta_s(2**j * u - l)`` at ``u`` in [0, 1]."""

@@ -502,6 +502,9 @@ def pairwise_maps(
     """
     config = config or CgcConfig()
     channels = list(channels)
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise InvalidConfigurationError(f"channels {channels} repeat {repeated}")
     every = {(s, k) for s in channels for k in channels if k != s}
     wanted = every if pairs is None else set(map(tuple, pairs))
     if not wanted <= every:
@@ -548,37 +551,11 @@ def tf_cgc_map(
     sampling_rate: float,
     config: CgcConfig | None = None,
 ) -> CgcMap:
-    """Full map of causality from ``source`` to ``sink`` given ``conditioning``."""
-    config = config or CgcConfig()
-    conditioning = list(conditioning)
-    if source == sink:
-        raise InvalidConfigurationError("source and sink must differ")
-    if source in conditioning or sink in conditioning:
-        raise InvalidConfigurationError(
-            "conditioning set must be disjoint from the directed pair"
-        )
-    freqs = config.freq_grid(sampling_rate)
-    n = signals.shape[1]
-    time_axis = np.arange(1, n + 1, config.time_decimation)
-    time_indices = time_axis - 1
-    kept, channels = [sink] + conditioning, [sink, source] + conditioning
-    rest_models, full_models = _fit_models(
-        signals, [kept, channels], config, [[sink], channels]
-    )
-    full = _assemble_system(channels, full_models, config)
-    lags = _lag_matrices(kept, rest_models, config.lags)
-    values = _pair_values(
-        full, [(source, [sink], lags)], sampling_rate, freqs, time_indices
-    )
-    return CgcMap(
-        source=source,
-        sink=sink,
-        conditioning=conditioning,
-        time_axis=time_axis,
-        freq_axis=freqs,
-        values=values[0],
-        sampling_rate=sampling_rate,
-    )
+    """Full map of causality from ``source`` to ``sink`` given ``conditioning``:
+    ``pairwise_maps`` of that one pair over ``[sink, source] + conditioning``."""
+    channels = [sink, source] + list(conditioning)
+    maps = pairwise_maps(signals, channels, sampling_rate, config, [(source, sink)])
+    return maps[(source, sink)]
 
 
 def significance_test(

@@ -187,7 +187,8 @@ def save_convnet(path, model) -> None:
 
 def load_convnet(path):
     """A convolutional model from its checkpoint; the config must build a
-    network and every tensor of that network must be stored, in its shape."""
+    network and every tensor of that network must be stored, in its shape
+    and finite."""
     from . import convnet
 
     config_block, tensors, extra = load_checkpoint(path)
@@ -208,6 +209,8 @@ def load_convnet(path):
                     f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                     f"the network needs {initial.shape}"
                 )
+            if not np.all(np.isfinite(tensors[name])):
+                raise FormatError(f"{path}: tensor {name!r} holds NaN or infinity")
             store[key] = tensors[name]
     model.history = extra.get("history", [])
     return model
@@ -267,8 +270,12 @@ def load_ensemble(manifest_path):
     except TypeError as exc:
         raise FormatError(f"{manifest_path}: malformed ensemble manifest ({exc})") from exc
     directory = os.path.dirname(manifest_path) or "."
+    paths = [os.path.join(directory, str(file)) for file, _, _ in entries]
+    for path in paths:
+        if not os.path.isfile(path):
+            raise FormatError(f"{manifest_path}: no member checkpoint {path}")
     members = [
-        BoostMember(load_convnet(os.path.join(directory, file)), weight, error)
-        for file, weight, error in entries
+        BoostMember(load_convnet(path), weight, error)
+        for path, (_, weight, error) in zip(paths, entries)
     ]
     return BoostEnsemble(members=members, sample_weight_history=[], **fields)

@@ -104,8 +104,6 @@ class RofrResult:
     selected_indices: list[int]
     rerr_sequence: np.ndarray
     pesr_trace: np.ndarray
-    triangular_factor: np.ndarray  # V, unit upper triangular (q, q): Phi = Q V
-    orthogonal_norms: np.ndarray  # ||q_s||^2, (q,)
     coefficients: np.ndarray  # Pi, (q,)
     residual: np.ndarray  # X - Phi Pi
     regularization: float  # rho actually used
@@ -378,8 +376,6 @@ def _result(psi, x, cols, picks, corr, q_sq, q_x, rerr, pesr, rho) -> RofrResult
         selected_indices=picks.tolist(),
         rerr_sequence=rerr[:q].copy(),
         pesr_trace=pesr.copy(),
-        triangular_factor=v_mat,
-        orthogonal_norms=norms.copy(),
         coefficients=coefficients,
         residual=residual,
         regularization=rho,

@@ -148,18 +148,13 @@ def crop_trial(
     ]
 
 
-def _map_values(entry) -> np.ndarray:
-    values = getattr(entry, "values", entry)
-    return np.asarray(values, dtype=float)
-
-
 def electrode_representation(
-    maps: Mapping[tuple[str, str], object], electrode: str
+    maps: Mapping[tuple[str, str], np.ndarray], electrode: str
 ) -> np.ndarray:
     """Signed combination of directed maps for one electrode.
 
-    ``maps`` is keyed by (source, sink) electrode names; values are
-    CgcMap objects or bare (t, F) arrays on identical grids.
+    ``maps`` is keyed by (source, sink) electrode names; values are (t, F)
+    arrays on identical grids.
     """
     if electrode not in _REPRESENTATIONS:
         raise IncompleteInputError(f"unknown electrode {electrode!r}")
@@ -167,7 +162,7 @@ def electrode_representation(
     for sign, source, sink in _REPRESENTATIONS[electrode]:
         if (source, sink) not in maps:
             raise IncompleteInputError(f"missing map {source}->{sink}")
-        vals = _map_values(maps[(source, sink)])
+        vals = maps[(source, sink)]
         if total is None:
             total = sign * vals
         else:
@@ -181,22 +176,17 @@ def electrode_representation(
 
 
 def assemble_image(
-    representations: Mapping[str, np.ndarray] | Sequence[np.ndarray],
+    representations: Sequence[np.ndarray],
     electrode_order: Sequence[str] = ELECTRODE_ORDER,
 ) -> CausalityImage:
     """Stack electrode representations and down-sample in frequency.
 
-    The five (t, F) matrices are concatenated electrode-major along the
-    frequency axis into (t, 5F), every block of 5 adjacent frequency
-    rows is averaged, and the result is stored transposed as (F, t).
+    The five (t, F) matrices, one per electrode of ``electrode_order`` in
+    that order, are concatenated electrode-major along the frequency axis
+    into (t, 5F), every block of 5 adjacent frequency rows is averaged,
+    and the result is stored transposed as (F, t).
     """
-    if isinstance(representations, Mapping):
-        try:
-            mats = [np.asarray(representations[e], float) for e in electrode_order]
-        except KeyError as exc:
-            raise IncompleteInputError(f"missing representation {exc}") from exc
-    else:
-        mats = [np.asarray(m, float) for m in representations]
+    mats = [np.asarray(m, float) for m in representations]
     if len(mats) != len(electrode_order):
         raise ShapeError(
             f"expected {len(electrode_order)} representations, got {len(mats)}"

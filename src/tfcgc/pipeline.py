@@ -180,31 +180,34 @@ def load_trials(manifest_path) -> TrialSet:
     manifest_path = str(manifest_path)
     base = os.path.dirname(manifest_path)
     try:
-        lines = [ln.strip() for ln in _read_ascii_lines(manifest_path) if ln.strip()]
+        lines = _read_ascii_lines(manifest_path)
     except OSError as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
-    if not lines or not lines[0].startswith("#"):
-        raise DataError(f"{manifest_path}:1: missing '# fs: <Hz>' sidecar line")
-    sidecar = lines[0].lstrip("#").strip()
+    # (line number in the file, stripped text) of each non-blank line
+    lines = [(i, ln.strip()) for i, ln in enumerate(lines, start=1) if ln.strip()]
+    at, sidecar = lines[0] if lines else (1, "")
+    if not sidecar.startswith("#"):
+        raise DataError(f"{manifest_path}:{at}: missing '# fs: <Hz>' sidecar line")
+    sidecar = sidecar.lstrip("#").strip()
     if not sidecar.startswith("fs:"):
-        raise DataError(f"{manifest_path}:1: sidecar must declare 'fs: <Hz>'")
+        raise DataError(f"{manifest_path}:{at}: sidecar must declare 'fs: <Hz>'")
     try:
         fs = float(sidecar.partition(":")[2])
     except ValueError as exc:
-        raise DataError(f"{manifest_path}:1: bad sampling rate") from exc
+        raise DataError(f"{manifest_path}:{at}: bad sampling rate") from exc
     if not (math.isfinite(fs) and fs > 0):
         raise DataError(
-            f"{manifest_path}:1: sampling rate must be finite and positive, got {fs:g}"
+            f"{manifest_path}:{at}: sampling rate must be finite and positive, "
+            f"got {fs:g}"
         )
-    if len(lines) < 2 or lines[1] != "trial_file,label,split":
-        raise DataError(
-            f"{manifest_path}:2: header must be 'trial_file,label,split'"
-        )
+    at, header = lines[1] if len(lines) > 1 else (at + 1, "")
+    if header != "trial_file,label,split":
+        raise DataError(f"{manifest_path}:{at}: header must be 'trial_file,label,split'")
     if len(lines) == 2:
         raise DataError(f"{manifest_path}: manifest lists no trials")
     trials = []
     channel_names = None
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in lines[2:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise DataError(f"{manifest_path}:{lineno}: expected 3 columns")
@@ -218,6 +221,8 @@ def load_trials(manifest_path) -> TrialSet:
                 f"{manifest_path}:{lineno}: split must be train or test"
             )
         path = os.path.join(base, fname)
+        if not os.path.isfile(path):
+            raise DataError(f"{manifest_path}:{lineno}: missing trial file: {path}")
         data, names = _load_trial_csv(path)
         if channel_names is None:
             channel_names = names
@@ -527,7 +532,7 @@ def _crop_image_unit(args):
         named = {
             (electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()
         }
-        reps = {e: electrode_representation(named, e) for e in electrodes}
+        reps = [electrode_representation(named, e) for e in electrodes]
         return assemble_image(reps, electrodes).values
     except Exception as exc:
         # Set directly rather than with add_note, which needs Python 3.11.

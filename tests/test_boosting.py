@@ -173,7 +173,7 @@ class TestEnsemblePredict:
             learner_factory=stub_factory(rules),
         )
         assert ens.n_val == 2 and ens.n_train == 8
-        assert ens.best_validation_accuracy == max(ens.validation_accuracy)
+        assert ens.validation_accuracy[ens.best_joint - 1] == max(ens.validation_accuracy)
 
 
 class TestPredictTrial:

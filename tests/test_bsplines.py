@@ -88,11 +88,13 @@ class TestBasisEval:
         assert basis_eval(BSplineSpec(3, 2, 1), 0.625) == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_outside_support(self):
+        # 2**(j/2) beta_s(2**j u - l) lives on [l / 2**j, (l + s) / 2**j]
         spec = BSplineSpec(3, 3, 2)
-        lo, hi = spec.support
-        for u in [0.0, lo - 1e-6, hi + 1e-6, 1.0]:
-            if 0.0 <= u <= 1.0 and not (lo <= u <= hi):
-                assert basis_eval(spec, u) == 0.0
+        lo, hi = 2 / 8, 5 / 8
+        u = np.linspace(0.0, 1.0, 801)
+        vals = basis_eval(spec, u)
+        assert np.all(vals[(u <= lo) | (u >= hi)] == 0.0)
+        assert np.all(vals[(u > lo) & (u < hi)] > 0.0)
 
     def test_out_of_range_point(self):
         with pytest.raises(OutOfRangeError):

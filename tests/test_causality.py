@@ -316,12 +316,24 @@ class TestTfCgcMap:
         assert m.freq_axis[0] == 6.0
         assert m.freq_axis[-1] == pytest.approx(14.9)
 
-    def test_invalid_pair(self):
-        sig = np.zeros((3, 100))
+    def test_invalid_pair(self, monkeypatch):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.zeros((4, 100))
         with pytest.raises(InvalidConfigurationError):
             tf_cgc_map(sig, 1, 1, [2], 250.0, CHEAP)
         with pytest.raises(InvalidConfigurationError):
             tf_cgc_map(sig, 1, 0, [1], 250.0, CHEAP)
+        with pytest.raises(InvalidConfigurationError, match=re.escape("repeat [2]")):
+            tf_cgc_map(sig, 1, 0, [2, 3, 2], 250.0, CHEAP)
+
+    def test_is_pairwise_maps_of_one_pair(self):
+        sig = np.random.default_rng(9).standard_normal((4, 300))
+        single = tf_cgc_map(sig, 3, 1, [2, 0], 250.0, CHEAP)
+        pair = pairwise_maps(sig, [1, 3, 2, 0], 250.0, CHEAP, [(3, 1)])[(3, 1)]
+        assert single.conditioning == pair.conditioning == [2, 0]
+        np.testing.assert_array_equal(single.values, pair.values)
+        np.testing.assert_array_equal(single.time_axis, pair.time_axis)
+        np.testing.assert_array_equal(single.freq_axis, pair.freq_axis)
 
     def test_null_distribution(self):
         means, p99s = [], []
@@ -421,6 +433,14 @@ class TestTfCgcMap:
         sig = np.random.default_rng(7).standard_normal((4, 300))
         with pytest.raises(InvalidConfigurationError, match=re.escape(f"[{pair}]")):
             pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [(0, 1), pair])
+
+    def test_pairwise_rejects_repeated_channel(self, monkeypatch):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.random.default_rng(7).standard_normal((4, 300))
+        with pytest.raises(
+            InvalidConfigurationError, match=re.escape("channels [0, 1, 1] repeat [1]")
+        ):
+            pairwise_maps(sig, [0, 1, 1], 250.0, CHEAP)
 
     def test_decimation(self):
         rng = np.random.default_rng(8)

@@ -895,7 +895,8 @@ class TestMalformedGrid:
 
 
 class TestMalformedCheckpoint:
-    """A member checkpoint that does not build its network exits 2 from `eval`."""
+    """A member checkpoint that does not build its network, or holds a
+    non-finite tensor, exits 2 from `eval`."""
 
     def damaged_model(self, tmp_path, damage):
         model = convnet.build_convnet(convnet.ConvNetConfig(), (90, 50))
@@ -938,10 +939,18 @@ class TestMalformedCheckpoint:
                 lambda config, tensors: tensors.update({"dense/b": np.zeros(3)}),
                 "tensor 'dense/b' has shape (3,), the network needs (2,)",
             ),
+            (
+                lambda config, tensors: tensors["block1/W"].put(4, np.nan),
+                "tensor 'block1/W' holds NaN or infinity",
+            ),
+            (
+                lambda config, tensors: tensors["running:block2/var"].fill(-np.inf),
+                "tensor 'running:block2/var' holds NaN or infinity",
+            ),
         ],
         ids=[
             "no-tensor", "no-running-tensor", "unknown-config-key", "zero-pool-factor",
-            "tensor-shape",
+            "tensor-shape", "nan-tensor", "infinite-running-tensor",
         ],
     )
     def test_eval_exits_2_naming_the_checkpoint(
@@ -956,11 +965,13 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip().startswith(f"data error: {member}: {problem}")
+        assert "Traceback" not in err
 
 
 class TestMalformedText:
     """Manifests and trial CSVs with a byte outside ASCII, or a sampling rate
-    that is not finite and positive, exit 2 naming the file and line."""
+    that is not finite and positive, exit 2 naming the file and line; a
+    line's number counts the blank lines before it."""
 
     def saved(self, tmp_path):
         ts = pipeline.synth_generate(
@@ -993,6 +1004,26 @@ class TestMalformedText:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {trial}:3: byte 0xb5 is not ASCII"
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("\n\n# fs: fast\n", "3: bad sampling rate"),
+            ("# fs: 250\n\nfile,lab,split\n", "3: header must be 'trial_file,label,split'"),
+            (
+                "# fs: 250\n\ntrial_file,label,split\n\nx.csv,up,train\n",
+                "5: label must be left or right",
+            ),
+        ],
+        ids=["sidecar", "header", "row"],
+    )
+    def test_lines_numbered_as_in_the_file(self, tmp_path, capsys, text, problem):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(text)
+        code = main(["image", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == f"data error: {manifest}:{problem}"
 
     @pytest.mark.parametrize("fs", ["nan", "inf", "-250", "0"])
     def test_sampling_rate_refused(self, tmp_path, capsys, fs):

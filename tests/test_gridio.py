@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tfcgc import convnet
-from tfcgc.boosting import adaboost_train, ensemble_predict
+from tfcgc import convnet, pipeline
+from tfcgc.boosting import BoostEnsemble, BoostMember, adaboost_train, ensemble_predict
 from tfcgc.errors import DataError
 from tfcgc.gridio import (
     FormatError,
@@ -71,23 +71,52 @@ def small_grid(path):
     )
 
 
-def small_checkpoint(path):
-    """A valid checkpoint of a one-block network."""
+def small_network():
+    """A one-block network."""
     cfg = convnet.ConvNetConfig(
         temporal_kernel=3, first_block_filters=2, block_count=1, spatial_height=4
     )
-    save_convnet(path, convnet.build_convnet(cfg, (4, 20)))
+    return convnet.build_convnet(cfg, (4, 20))
+
+
+def small_checkpoint(path):
+    """A valid checkpoint of a one-block network."""
+    save_convnet(path, small_network())
+
+
+def small_ensemble(path):
+    """A valid ensemble manifest of one small member, its checkpoint beside it."""
+    member = BoostMember(small_network(), 0.5, 0.25)
+    ensemble = BoostEnsemble([member], 1, [0.75], [], 4, 2)
+    os.replace(save_ensemble(path, ensemble), path)
+
+
+SMALL_TRIALS = pipeline.synth_generate(
+    pipeline.SynthSpec(trials_per_class=1, trial_seconds=0.5), seed=0
+)
+
+
+def small_trial_manifest(path):
+    """A valid trial manifest of two trials, their CSV files beside it."""
+    os.replace(pipeline.save_trials(SMALL_TRIALS, os.path.dirname(path)), path)
 
 
 DAMAGED = pytest.mark.parametrize(
-    "write, load", [(small_grid, read_grid), (small_checkpoint, load_convnet)],
-    ids=["grid", "checkpoint"],
+    "write, load",
+    [
+        (small_grid, read_grid),
+        (small_checkpoint, load_convnet),
+        (small_ensemble, load_ensemble),
+        (small_trial_manifest, pipeline.load_trials),
+    ],
+    ids=["grid", "checkpoint", "ensemble-manifest", "trial-manifest"],
 )
 
 
 class TestDamagedFile:
-    """Every truncation and every single-byte change of a small valid grid or
-    checkpoint either loads or raises a DataError that names the file."""
+    """Every truncation and every single-byte change of a small valid grid,
+    checkpoint, ensemble manifest or trial manifest either loads or raises a
+    DataError that names the file."""
 
     @DAMAGED
     def test_every_truncation(self, tmp_path, write, load):
@@ -96,8 +125,13 @@ class TestDamagedFile:
         data = path.read_bytes()
         for length in range(len(data)):
             path.write_bytes(data[:length])
-            with pytest.raises(DataError, match=re.escape(str(path))):
+            try:
                 load(path)
+            except DataError as exc:
+                assert str(path) in str(exc)
+            else:  # only a trial manifest cut at the end of a row still loads
+                assert write is small_trial_manifest
+                assert b"\n" in data[length - 1 : length + 1]
 
     @DAMAGED
     @settings(

@@ -235,21 +235,18 @@ class TestRofrSelect:
             )
             assert np.all(s_big <= s_small + 1e-15)
 
-    def test_orthogonality_and_factorization(self):
-        # Phi = Q V with orthogonal Q, checked without Q: the residual is
-        # orthogonal to Phi and Phi^T Phi = V^T diag(||q_s||^2) V
+    def test_least_squares_on_selected_terms(self):
+        # unregularized, the factorization Phi = Q V solves least squares
+        # on the selected columns: the residual is orthogonal to Phi and
+        # the coefficients are numpy's least-squares solution
         rng = np.random.default_rng(7)
         prob = make_problem(rng, n=150, m=25)
         res = rofr_select(prob, RofrConfig(regularization=0.0, max_terms=10))
-        v, norms = res.triangular_factor, res.orthogonal_norms
         phi = prob.design_matrix[:, res.selected_indices]
-        gram = phi.T @ phi
-        recon = v.T @ np.diag(norms) @ v
-        assert np.linalg.norm(recon - gram) <= 1e-10 * np.linalg.norm(gram)
         assert np.abs(phi.T @ res.residual).max() < 1e-8
-        # unit upper triangular
-        assert np.allclose(np.diag(v), 1.0)
-        assert np.allclose(np.tril(v, -1), 0.0)
+        np.testing.assert_allclose(phi @ res.coefficients + res.residual, prob.target)
+        expected, *_ = np.linalg.lstsq(phi, prob.target, rcond=None)
+        np.testing.assert_allclose(res.coefficients, expected, rtol=1e-8, atol=1e-10)
 
     def test_exact_interpolation(self):
         rng = np.random.default_rng(8)

@@ -132,18 +132,6 @@ class TestElectrodeRepresentation:
         with pytest.raises(ShapeError):
             electrode_representation(maps, "Fz")
 
-    def test_accepts_map_objects(self):
-        class Holder:
-            def __init__(self, values):
-                self.values = values
-
-        maps = {p: Holder(v) for p, v in full_map_set(np.random.default_rng(2)).items()}
-        plain = {p: h.values for p, h in maps.items()}
-        np.testing.assert_array_equal(
-            electrode_representation(maps, "Cz"),
-            electrode_representation(plain, "Cz"),
-        )
-
 
 class TestAssembleImage:
     def test_standard_shape(self):
@@ -180,13 +168,13 @@ class TestAssembleImage:
         diff_rows = np.nonzero(np.any(changed != base, axis=1))[0]
         assert set(diff_rows).issubset(set(range(36, 54)))
 
-    def test_mapping_input(self):
+    def test_electrode_order_labels_image(self):
         rng = np.random.default_rng(5)
-        reps = {e: rng.standard_normal((6, 90)) for e in ELECTRODE_ORDER}
-        img = assemble_image(reps)
-        np.testing.assert_array_equal(
-            img.values, assemble_image([reps[e] for e in ELECTRODE_ORDER]).values
-        )
+        reps = [rng.standard_normal((6, 90)) for _ in ELECTRODE_ORDER]
+        order = ELECTRODE_ORDER[::-1]
+        img = assemble_image(reps, order)
+        assert img.electrode_order == order
+        np.testing.assert_array_equal(img.values, assemble_image(reps).values)
 
     def test_wrong_count(self):
         with pytest.raises(ShapeError):

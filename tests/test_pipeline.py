@@ -308,7 +308,7 @@ def all_pairs_image(crop, electrodes, config):
     """A crop's image from every ordered pair's map, and those maps."""
     maps = causality.pairwise_maps(crop, range(5), 250.0, config.cgc_config())
     named = {(electrodes[s], electrodes[k]): m.values for (s, k), m in maps.items()}
-    reps = {e: electrode_representation(named, e) for e in electrodes}
+    reps = [electrode_representation(named, e) for e in electrodes]
     return assemble_image(reps, electrodes).values, maps
 
 
