@@ -9,7 +9,7 @@ the member prefix with the best validation accuracy.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,7 +181,6 @@ class EvalReport:
     fp: int
     tn: int
     fn: int
-    predictions: tuple[int, ...] = field(default=())
 
     @property
     def total(self) -> int:
@@ -223,4 +222,4 @@ def evaluate(predictions, truths) -> EvalReport:
     fp = int(np.sum((predictions == 1) & (truths == -1)))
     tn = int(np.sum((predictions == -1) & (truths == -1)))
     fn = int(np.sum((predictions == -1) & (truths == 1)))
-    return EvalReport(tp, fp, tn, fn, tuple(int(p) for p in predictions))
+    return EvalReport(tp, fp, tn, fn)

@@ -36,7 +36,6 @@ __all__ = [
     "FittedSystem",
     "NormalizedSystem",
     "fit_system",
-    "fit_systems",
     "normalize_restricted",
     "normalize_full",
     "spectral_matrices",
@@ -119,31 +118,19 @@ class FittedSystem:
 class NormalizedSystem:
     """Geweke-normalized system ready for spectral evaluation."""
 
-    kind: str  # "restricted" or "full"
     zero_lag: np.ndarray  # (N, n, n) block lower-triangular, unit diagonal
     lag_coefficients: np.ndarray  # (N, K, n, n), zero_lag @ raw lag matrices
     noise_covariance: np.ndarray  # (N, n, n) transformed residual covariance
-
-    @property
-    def n_vars(self) -> int:
-        return self.zero_lag.shape[1]
 
 
 def fit_system(
     signals: np.ndarray, channel_indices, config: CgcConfig
 ) -> FittedSystem:
-    """Fit every equation of the system spanned by ``channel_indices``."""
-    return fit_systems(signals, [channel_indices], config)[0]
-
-
-def fit_systems(signals: np.ndarray, systems, config: CgcConfig) -> list[FittedSystem]:
-    """Fit several systems on one series: all their equations (one per
-    channel of each system) run as one ROFR search over shared columns."""
-    systems = [list(channels) for channels in systems]
-    return [
-        _assemble_system(channels, models, config)
-        for channels, models in zip(systems, _fit_models(signals, systems, config))
-    ]
+    """Fit every equation of the system spanned by ``channel_indices``, all
+    in one ROFR search."""
+    channels = list(channel_indices)
+    (models,) = _fit_models(signals, [channels], config)
+    return _assemble_system(channels, models, config)
 
 
 def _fit_models(signals: np.ndarray, systems, config: CgcConfig, targets=None):
@@ -188,10 +175,10 @@ def _assemble_system(channel_indices, models, config: CgcConfig) -> FittedSystem
     return FittedSystem(channel_indices, models, lag_mats, cov, n, start)
 
 
-def _apply_zero_lag(system: FittedSystem, zero_lag: np.ndarray, kind: str):
+def _apply_zero_lag(system: FittedSystem, zero_lag: np.ndarray):
     lag = np.einsum("tij,tkjl->tkil", zero_lag, system.lag_matrices)
     cov = np.einsum("tij,tjk,tlk->til", zero_lag, system.residual_covariance, zero_lag)
-    return NormalizedSystem(kind, zero_lag, lag, cov)
+    return NormalizedSystem(zero_lag, lag, cov)
 
 
 def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
@@ -204,7 +191,7 @@ def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
         raise DegenerateVarianceError(f"sink residual variance <= 0 at t={t_bad}")
     c = np.tile(np.eye(n_vars), (n, 1, 1))
     c[:, 1:, 0] = -cov[:, 1:, 0] / sigma_xx[:, None]
-    return _apply_zero_lag(system, c, "restricted")
+    return _apply_zero_lag(system, c)
 
 
 def normalize_full(system: FittedSystem) -> NormalizedSystem:
@@ -232,7 +219,7 @@ def normalize_full(system: FittedSystem) -> NormalizedSystem:
     szy = cov[:, 2:, 1] - cov[:, 2:, 0] * (cov[:, 0, 1] / sigma_xx)[:, None]
     d2 = np.tile(np.eye(n_vars), (n, 1, 1))
     d2[:, 2:, 1] = -szy / syy[:, None]
-    return _apply_zero_lag(system, np.einsum("tij,tjk->tik", d2, d1), "full")
+    return _apply_zero_lag(system, np.einsum("tij,tjk->tik", d2, d1))
 
 
 def spectral_matrices(

@@ -224,24 +224,18 @@ def forward(
     cache: dict = {"masks": [], "x_in": x}
     h = np.matmul(model.params["spatial/W"], x)
     h = h + model.params["spatial/b"][None, :, None]
-    cache["spatial_out"] = h
     for block in range(1, cfg.block_count + 1):
-        if block >= 2 and cfg.dropout_rate > 0:
-            if train:
-                if dropout_masks is not None:
-                    mask = dropout_masks[block - 2]
-                else:
-                    keep = rng.random(h.shape) >= cfg.dropout_rate
-                    mask = keep / (1.0 - cfg.dropout_rate)
+        if train and block >= 2 and cfg.dropout_rate > 0:
+            if dropout_masks is not None:
+                mask = dropout_masks[block - 2]
             else:
-                mask = np.ones_like(h)
+                keep = rng.random(h.shape) >= cfg.dropout_rate
+                mask = keep / (1.0 - cfg.dropout_rate)
             cache["masks"].append(mask)
-            cache[f"b{block}/drop_in"] = h
             h = h * mask
         w = model.params[f"block{block}/W"]
         cache[f"b{block}/conv_in"] = h
         h = _temporal_conv(h, w, model.params[f"block{block}/b"])
-        cache[f"b{block}/conv_out"] = h
         if train:
             mean = h.mean(axis=(0, 2))
             var = h.var(axis=(0, 2))
@@ -273,7 +267,6 @@ def forward(
     logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    cache["probs"] = probs
     if return_cache:
         return probs, cache
     return probs

@@ -269,6 +269,12 @@ def load_ensemble(manifest_path):
         raise FormatError(f"{manifest_path}: ensemble manifest has no {exc} field") from exc
     except TypeError as exc:
         raise FormatError(f"{manifest_path}: malformed ensemble manifest ({exc})") from exc
+    best = fields["best_joint"]
+    if type(best) is not int or not 1 <= best <= len(entries):
+        raise FormatError(
+            f"{manifest_path}: best_joint must be an integer in "
+            f"[1, {len(entries)}], the member count, got {best!r}"
+        )
     directory = os.path.dirname(manifest_path) or "."
     paths = [os.path.join(directory, str(file)) for file, _, _ in entries]
     for path in paths:

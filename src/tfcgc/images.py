@@ -95,14 +95,6 @@ class CausalityImage:
             raise ShapeError("image values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 def crop_geometry(samples, sampling_rate, crop_seconds, stride_seconds, trial_id):
     """Crop length and stride in whole samples, checked against a trial of

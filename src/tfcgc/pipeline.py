@@ -30,12 +30,10 @@ from .identify import FORGETTING, MAX_GRAM_BYTES, RofrConfig
 from .images import (
     ELECTRODE_ORDER,
     IMAGE_PAIRS,
-    CausalityImage,
     assemble_image,
     crop_geometry,
     crop_trial,
     electrode_representation,
-    export_image,
 )
 
 LABEL_CODES = {"left": 1, "right": -1}
@@ -80,15 +78,6 @@ def _tuple_of(kind):
     return parse
 
 
-def _bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
-
-
 def _key(default, section, parse, bound=None, keys=None):
     """A setting of the config file: its ``[section]``, the parser of its
     value and the range it must hold. A tuple setting may instead take one
@@ -130,7 +119,6 @@ class RunConfig:
     seed: int = _key(0, "run", int)
     threads: int = _key(1, "run", int, Range(1))
     out_dir: str | None = _key(None, "run", str)
-    export_graymaps: bool = _key(False, "run", _bool)
 
     def __post_init__(self):
         """Reject a setting outside its range, or a design too large to
@@ -207,6 +195,7 @@ def load_trials(manifest_path) -> TrialSet:
         raise DataError(f"{manifest_path}: manifest lists no trials")
     trials = []
     channel_names = None
+    listed = {}  # real path of each trial file -> its manifest line
     for lineno, line in lines[2:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
@@ -223,6 +212,12 @@ def load_trials(manifest_path) -> TrialSet:
         path = os.path.join(base, fname)
         if not os.path.isfile(path):
             raise DataError(f"{manifest_path}:{lineno}: missing trial file: {path}")
+        first = listed.setdefault(os.path.realpath(path), lineno)
+        if first != lineno:
+            raise DataError(
+                f"{manifest_path}:{lineno}: trial file {fname} is already "
+                f"listed at line {first}"
+            )
         data, names = _load_trial_csv(path)
         if channel_names is None:
             channel_names = names
@@ -767,15 +762,6 @@ def _write_artifacts(config, report, ensemble, tr_images, te_images):
             meta={"config": gridio.config_hash(config)},
         )
     gridio.save_ensemble(os.path.join(out, "model"), ensemble)
-    if config.export_graymaps:
-        img_dir = os.path.join(out, "images")
-        os.makedirs(img_dir, exist_ok=True)
-        for tag, stack in stacks:
-            for i, arr in enumerate(stack):
-                export_image(
-                    CausalityImage(arr),
-                    os.path.join(img_dir, f"{tag}_{i:04d}.pgm"),
-                )
     gridio.atomic_write(
         os.path.join(out, "report.json"),
         json.dumps(report, indent=2, sort_keys=True).encode(),

@@ -231,7 +231,6 @@ class TestEvaluate:
     def test_confusion_counts(self):
         rep = evaluate([1, 1, -1, -1, 1], [1, -1, 1, -1, 1])
         assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 1, 1)
-        assert rep.predictions == (1, 1, -1, -1, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -226,7 +226,7 @@ class TestNormalizeFull:
 
 class TestSpectralMatrices:
     def make_norm(self, zero_lag, lag):
-        return NormalizedSystem("restricted", zero_lag, lag, None)
+        return NormalizedSystem(zero_lag, lag, None)
 
     def test_zero_lags_identity(self):
         n = 3
@@ -603,6 +603,16 @@ def explicit_pair_oracle(full, restricted, source, sink, fs, freqs, times):
     )
 
 
+def fit_together(signals, systems, config):
+    """Every equation of each system in one ROFR search, each system
+    assembled whole, as ``pairwise_maps`` fits and assembles them."""
+    fitted = causality._fit_models(signals, systems, config)
+    return [
+        causality._assemble_system(channels, models, config)
+        for channels, models in zip(systems, fitted)
+    ]
+
+
 class TestBatchedPairs:
     def check_crop_against_explicit_path(self, cfg, times):
         spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
@@ -643,7 +653,7 @@ class TestBatchedPairs:
         sig = trials.trials[0].data[:4, :200]
         channels = [0, 1, 2, 3]
         rests = [[c for c in channels if c != src] for src in channels]
-        full, *fits = causality.fit_systems(sig, [channels] + rests, CHEAP)
+        full, *fits = fit_together(sig, [channels] + rests, CHEAP)
         freqs = CHEAP.freq_grid(250.0)
         times = np.arange(0, 200, 3)
         items = [
@@ -686,9 +696,9 @@ class TestBatchedPairs:
         maps = pairwise_maps(sig, channels, 250.0, CHEAP)
         # the full system's 5 * 6 / 2 covariance traces, none restricted
         assert len(calls) == 15
-        # every system fitted whole, as ``fit_systems`` returns it
+        # every system fitted whole
         rests = [[c for c in channels if c != src] for src in channels]
-        full, *fits = causality.fit_systems(sig, [channels] + rests, CHEAP)
+        full, *fits = fit_together(sig, [channels] + rests, CHEAP)
         items = [
             (src, fit.channel_indices, fit.lag_matrices)
             for src, fit in zip(channels, fits)

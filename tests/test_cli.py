@@ -676,7 +676,22 @@ class TestConfigTable:
         tables = collections.Counter(
             table for keys in cli._SCHEMA.values() for table, _, _ in keys.values()
         )
-        assert tables == {pipeline.RunConfig: 24, pipeline.SynthSpec: 10}
+        assert tables == {pipeline.RunConfig: 23, pipeline.SynthSpec: 10}
+
+    def test_readme_block_lists_every_key(self):
+        """The block shows every key of the four run sections, those
+        without a default as comments, so none goes undocumented."""
+        block = re.search(r"```ini\n(.*?)```", self.README.read_text(), re.S)
+        listed, section = set(), None
+        for line in block.group(1).splitlines():
+            header = re.fullmatch(r"\[(\w+)\]", line)
+            key = re.fullmatch(r";? ?(\w+) = .*", line)
+            if header:
+                section = header.group(1)
+            elif key:
+                listed.add((section, key.group(1)))
+        sections = ("data", "causality", "classifier", "run")
+        assert listed == {(s, key) for s in sections for key in cli._SCHEMA[s]}
 
     def test_readme_block_parses_to_defaults(self):
         block = re.search(r"```ini\n(.*?)```", self.README.read_text(), re.S)
@@ -828,6 +843,31 @@ class TestMalformedEnsemble:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {model}: {problem}"
+
+
+    @pytest.mark.parametrize("best_joint", [9, 0, 1.0, True])
+    def test_best_joint_outside_members(self, tmp_path, capsys, monkeypatch, best_joint):
+        """Refused naming the manifest before any member or trial loads."""
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("member or trials read")
+
+        model = convnet.build_convnet(convnet.ConvNetConfig(), (90, 50))
+        ensemble = boosting.BoostEnsemble(
+            [boosting.BoostMember(model, 1.0, 0.1)], 1, [1.0], [], 2, 0
+        )
+        path = pathlib.Path(gridio.save_ensemble(str(tmp_path / "model"), ensemble))
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "best_joint": best_joint}))
+        monkeypatch.setattr(pipeline, "load_trials", no_reading)
+        monkeypatch.setattr(gridio, "load_convnet", no_reading)
+        code = main(["eval", "--manifest", str(tmp_path / "m.csv"), "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: {path}: best_joint must be an integer in [1, 1], "
+            f"the member count, got {best_joint!r}"
+        )
 
 
 def grid_bytes(header, payload=b""):
@@ -1024,6 +1064,24 @@ class TestMalformedText:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {manifest}:{problem}"
+
+    @pytest.mark.parametrize("name", ["train_left_000.csv", "./train_left_000.csv"])
+    def test_trial_listed_twice(self, tmp_path, capsys, monkeypatch, name):
+        """A trial in both splits is refused before any band-pass, naming
+        the manifest and both of its lines."""
+
+        def no_filtering(*args, **kwargs):
+            raise AssertionError("band-pass started")
+
+        manifest, _ = self.saved(tmp_path)
+        manifest.write_text(manifest.read_text() + f"\n{name},left,test\n")
+        monkeypatch.setattr(pipeline, "bandpass", no_filtering)
+        code = main(["run", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: {manifest}:6: trial file {name} is already listed at line 3"
+        )
 
     @pytest.mark.parametrize("fs", ["nan", "inf", "-250", "0"])
     def test_sampling_rate_refused(self, tmp_path, capsys, fs):

@@ -67,8 +67,8 @@ class TestArchitecture:
         probs, cache = forward(
             model, np.zeros((1, 90, 500)), mode="eval", return_cache=True
         )
-        assert cache["spatial_out"].shape == (1, 10, 500)
-        assert cache["b1/conv_out"].shape == (1, 10, 486)
+        assert cache["b1/conv_in"].shape == (1, 10, 500)
+        assert cache["b1/xhat"].shape == (1, 10, 486)
         assert cache["b1/out"].shape == (1, 10, 243)
 
     def test_filter_doubling(self):

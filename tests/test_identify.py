@@ -3,7 +3,7 @@ import pytest
 
 from tfcgc import pipeline
 from tfcgc.bsplines import BSplineSpec, basis_eval, build_dictionary
-from tfcgc.causality import fit_systems
+from tfcgc.causality import _fit_models
 from tfcgc.identify import (
     EmptyModelError,
     InsufficientDataError,
@@ -330,7 +330,7 @@ class TestGramScreen:
 
 
 def crop_equations(channels):
-    """The 25 equations of a 5-channel crop in ``fit_systems`` order:
+    """The 25 equations of a 5-channel crop in ``_fit_models`` order:
     the full system, then one restricted system per excluded source."""
     systems = [channels] + [[c for c in channels if c != s] for s in channels]
     return systems, [
@@ -361,7 +361,7 @@ class TestLockstepSearch:
     def test_matches_explicit_search_per_equation(self, crop, run):
         config = run.cgc_config()
         systems, equations = crop_equations(list(range(5)))
-        models = [m for fit in fit_systems(crop, systems, config) for m in fit.models]
+        models = [m for fitted in _fit_models(crop, systems, config) for m in fitted]
         assert len(models) == 25
         for model, (target, predictors, system) in zip(models, equations):
             assert (model.target_index, model.predictor_indices) == (target, predictors)
