@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import boosting, gridio, pipeline
+from . import gridio, pipeline
 from .causality import tf_cgc_map
 from .errors import ConfigError, DataError, NumericError
 from .images import CausalityImage, export_image
@@ -171,17 +171,7 @@ def _cmd_image(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_run_config(args)
-    filtered = _band_passed(config, "train")
-    pipeline.check_training_split(filtered)
-    pipeline.check_architecture(config, filtered.sampling_rate)
-    images, labels, _, _ = pipeline.trial_images(filtered, config)
-    ensemble = boosting.adaboost_train(
-        images,
-        labels,
-        chi=config.chi,
-        base_config=config.convnet_config(),
-        seed=config.seed,
-    )
+    ensemble, _, _ = pipeline.decode(config, _band_passed(config, "train"))
     out = args.out or "model"
     os.makedirs(out, exist_ok=True)
     manifest = gridio.save_ensemble(os.path.join(out, "model"), ensemble)
@@ -192,14 +182,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = build_run_config(args)
     ensemble = gridio.load_ensemble(args.model)
-    filtered = _band_passed(config, "test")
-    if len(filtered) == 0:
-        raise DataError("no test trials in manifest")
-    pipeline.check_crop_parity(filtered, config)
-    pipeline.check_model_input(ensemble, config, filtered.sampling_rate, args.model)
-    images, _, _, groups = pipeline.trial_images(filtered, config)
-    payload = pipeline.evaluation_report(ensemble, images, groups, filtered.trials)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    test_set = _band_passed(config, "test")
+    _, report, _ = pipeline.decode(config, test_set, ensemble, args.model)
+    text = json.dumps(report["evaluation"], indent=2, sort_keys=True)
     if args.out:
         gridio.atomic_write(args.out, (text + "\n").encode())
     print(text)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -275,6 +276,12 @@ def load_ensemble(manifest_path):
             f"{manifest_path}: best_joint must be an integer in "
             f"[1, {len(entries)}], the member count, got {best!r}"
         )
+    for file, weight, _ in entries:
+        if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
+            raise FormatError(
+                f"{manifest_path}: member {file} weight must be a finite number, "
+                f"got {weight!r}"
+            )
     directory = os.path.dirname(manifest_path) or "."
     paths = [os.path.join(directory, str(file)) for file, _, _ in entries]
     for path in paths:

@@ -57,14 +57,12 @@ class TrialSet:
     trials: list[Trial]
     channel_names: tuple[str, ...]
     sampling_rate: float
-    metadata: dict = field(default_factory=dict)
 
     def subset(self, split: str) -> "TrialSet":
         return TrialSet(
             [t for t in self.trials if t.split == split],
             self.channel_names,
             self.sampling_rate,
-            self.metadata,
         )
 
     def __len__(self) -> int:
@@ -196,6 +194,7 @@ def load_trials(manifest_path) -> TrialSet:
     trials = []
     channel_names = None
     listed = {}  # real path of each trial file -> its manifest line
+    ids = {}  # each trial id -> its manifest line
     for lineno, line in lines[2:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
@@ -218,14 +217,19 @@ def load_trials(manifest_path) -> TrialSet:
                 f"{manifest_path}:{lineno}: trial file {fname} is already "
                 f"listed at line {first}"
             )
+        trial_id = os.path.splitext(fname)[0]
+        first = ids.setdefault(trial_id, lineno)
+        if first != lineno:
+            raise DataError(
+                f"{manifest_path}:{lineno}: trial id {trial_id} of {fname} is "
+                f"already used at line {first}"
+            )
         data, names = _load_trial_csv(path)
         if channel_names is None:
             channel_names = names
         elif names != channel_names:
             raise DataError(f"{path}: channel header differs from first trial")
-        trials.append(
-            Trial(data, LABEL_CODES[label], os.path.splitext(fname)[0], split)
-        )
+        trials.append(Trial(data, LABEL_CODES[label], trial_id, split))
     return TrialSet(trials, channel_names, fs)
 
 
@@ -327,9 +331,7 @@ def bandpass(trial_set: TrialSet, low: float, high: float) -> TrialSet:
         stack = np.concatenate([trials[i].data for i in rows], dtype=float)
         for i, data in zip(rows, _filtfilt(b, a, stack).reshape(-1, channels, n)):
             filtered[i] = dataclasses.replace(trials[i], data=data)
-    return TrialSet(
-        filtered, trial_set.channel_names, fs, dict(trial_set.metadata)
-    )
+    return TrialSet(filtered, trial_set.channel_names, fs)
 
 
 def _butterworth_bandpass(low: float, high: float, fs: float):
@@ -452,7 +454,7 @@ def _check_stability(spec: SynthSpec) -> None:
 
 
 def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
-    """Seeded two-class fixture with ground-truth schedules attached.
+    """Seeded two-class fixture.
 
     Trial k of a class draws its noise from ``SeedSequence([seed, class, k])``.
     Every trial of the call is one column of a (samples, trials, channels)
@@ -496,23 +498,12 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
             for block, src, dst, strength in couplings:
                 x[t, block, dst] += strength * x[t - 1, block, src]
     trials = []
-    truth = {}
     for c, label in enumerate(labels):
-        schedules = spec.schedules(label)
         for k in range(per_class):
             trial_id = f"{spec.split}_{LABEL_NAMES[label]}_{k:03d}"
             data = np.ascontiguousarray(x[:, c * per_class + k].T)
             trials.append(Trial(data, label, trial_id, spec.split))
-            truth[trial_id] = {
-                f"{src}->{dst}": [strength, lo, hi]
-                for (src, dst), (strength, _) in schedules.items()
-            }
-    return TrialSet(
-        trials,
-        spec.channel_names,
-        spec.sampling_rate,
-        {"ground_truth": truth, "generator": dataclasses.asdict(spec)},
-    )
+    return TrialSet(trials, spec.channel_names, spec.sampling_rate)
 
 
 def _crop_image_unit(args):
@@ -619,14 +610,44 @@ def check_frequency_grid(config: RunConfig, sampling_rate: float) -> None:
         ) from exc
 
 
-def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
-    """Reject trials whose crop count is even, before any imaging.
+def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
+    """Execute the full decode and return the run report as a dict.
 
-    A trial's label is the majority vote over its crops, which needs an
-    odd count; the count depends only on the trial length.
+    Stages: load, band-pass, then ``decode``.  Artifacts (config snapshot,
+    images, ensemble, report) are written to ``config.out_dir`` when one is
+    set.
     """
-    fs = trial_set.sampling_rate
-    for trial in trial_set.trials:
+    if trial_set is None:
+        if config.manifest is None:
+            raise DataError("need a manifest path or an in-memory trial set")
+        trial_set = load_trials(config.manifest)
+    ensemble, report, stacks = decode(config, bandpass(trial_set, *config.band))
+    if config.out_dir:
+        _write_artifacts(config, report, ensemble, stacks)
+    return report
+
+
+def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None):
+    """Boost ConvNets on the causality images of the band-passed set's train
+    split, unless a loaded ``ensemble`` (read from ``model_path``) is given,
+    then label each test trial by the majority vote over its crops.
+
+    Every check that needs the data runs before any crop is imaged, in one
+    order: the train split holds both classes (or, with a loaded ensemble,
+    there are test trials); each test trial has an odd crop count; the
+    classifier, or each loaded member, reads images of the run's shape.
+    Returns the ensemble, the report and the image stack of each split.
+    """
+    train_set, test_set = filtered.subset("train"), filtered.subset("test")
+    if ensemble is None:
+        present = {t.label for t in train_set.trials}
+        if len(present) < 2:
+            has = f"only {LABEL_NAMES[present.pop()]} trials" if present else "no trials"
+            raise DataError(f"training split must hold both classes, has {has}")
+    elif len(test_set) == 0:
+        raise DataError("no test trials in manifest")
+    fs = filtered.sampling_rate
+    for trial in test_set.trials:
         n = trial.data.shape[-1]
         length, stride = crop_geometry(
             n, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
@@ -637,81 +658,43 @@ def check_crop_parity(trial_set: TrialSet, config: RunConfig) -> None:
                 f"trial {trial.trial_id}: {count} crops, but majority voting "
                 "needs an odd crop count"
             )
-
-
-def _image_columns(config: RunConfig, sampling_rate: float) -> tuple[int, str]:
-    """An image's column count, one per grid time of a crop,
-    ceil(crop samples / time_decimation), and how it follows from the run."""
-    crop = round(sampling_rate * config.crop_seconds)
+    # an image has one column per grid time of a crop
+    crop = round(fs * config.crop_seconds)
     width = -(-crop // config.time_decimation)
-    return width, f"crops of {crop} samples, time_decimation {config.time_decimation}"
+    made = f"crops of {crop} samples, time_decimation {config.time_decimation}"
+    if ensemble is None:
+        try:  # every convolution and pooling stage must leave a column
+            convnet._time_lengths(config.convnet_config(), width)
+        except convnet.ArchitectureError as exc:
+            raise convnet.ArchitectureError(
+                f"images of {width} time columns ({made}) are too short for "
+                f"the classifier: {exc}"
+            ) from exc
+    else:
+        shape = (config.convnet_config().spatial_height, width)
+        for member in ensemble.members:
+            if member.model.input_shape != shape:
+                raise DataError(
+                    f"model {model_path} reads images of shape "
+                    f"{member.model.input_shape}, this run makes {shape} ({made})"
+                )
 
-
-def check_architecture(config: RunConfig, sampling_rate: float) -> None:
-    """Reject a classifier that cannot read the run's images, before imaging:
-    every convolution and pooling stage must leave at least one column."""
-    width, made = _image_columns(config, sampling_rate)
-    try:
-        convnet._time_lengths(config.convnet_config(), width)
-    except convnet.ArchitectureError as exc:
-        raise convnet.ArchitectureError(
-            f"images of {width} time columns ({made}) are too short for "
-            f"the classifier: {exc}"
-        ) from exc
-
-
-def check_model_input(ensemble, config: RunConfig, sampling_rate: float, path) -> None:
-    """Reject a saved ensemble that cannot read the run's images, before imaging."""
-    width, made = _image_columns(config, sampling_rate)
-    shape = (config.convnet_config().spatial_height, width)
-    for member in ensemble.members:
-        if member.model.input_shape != shape:
-            raise DataError(
-                f"model {path} reads images of shape {member.model.input_shape}, "
-                f"this run makes {shape} ({made})"
-            )
-
-
-def check_training_split(train_set: TrialSet) -> None:
-    """Reject a training split without both classes, before imaging."""
-    present = {t.label for t in train_set.trials}
-    if len(present) < 2:
-        has = f"only {LABEL_NAMES[present.pop()]} trials" if present else "no trials"
-        raise DataError(f"training split must hold both classes, has {has}")
-
-
-def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
-    """Execute the full decode and return the run report as a dict.
-
-    Stages: load, band-pass, crop, causality imaging, boosted training
-    on the train split, majority-vote prediction on the test split.
-    Artifacts (config snapshot, images, ensemble, report) are written to
-    ``config.out_dir`` when one is set.
-    """
-    if trial_set is None:
-        if config.manifest is None:
-            raise DataError("need a manifest path or an in-memory trial set")
-        trial_set = load_trials(config.manifest)
-    filtered = bandpass(trial_set, *config.band)
-    train_set = filtered.subset("train")
-    test_set = filtered.subset("test")
-    check_training_split(train_set)
-    check_crop_parity(test_set, config)
-    check_architecture(config, filtered.sampling_rate)
-
+    splits = [train_set, test_set] if ensemble is None else [test_set]
+    stacks = {}
     # the pool images the test crops while the ensemble trains
-    with _imaging([train_set, test_set], config) as splits:
-        tr_images, tr_labels, _, _ = next(splits)
-        ensemble = boosting.adaboost_train(
-            tr_images,
-            tr_labels,
-            chi=config.chi,
-            base_config=config.convnet_config(),
-            seed=config.seed,
-        )
+    with _imaging(splits, config) as images:
+        if ensemble is None:
+            stacks["train"], labels, _, _ = next(images)
+            ensemble = boosting.adaboost_train(
+                stacks["train"],
+                labels,
+                chi=config.chi,
+                base_config=config.convnet_config(),
+                seed=config.seed,
+            )
         report: dict = {
             "n_train_trials": len(train_set),
-            "n_train_crops": int(len(tr_labels)),
+            "n_train_crops": len(stacks.get("train", ())),
             "n_test_trials": len(test_set),
             "members": len(ensemble.members),
             "best_joint": ensemble.best_joint,
@@ -719,32 +702,23 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
             "preprocessing": "zero-phase band-pass "
             f"{config.band[0]:g}-{config.band[1]:g} Hz (order 4, forward-backward)",
         }
-        te_images = None
         if len(test_set) > 0:
-            te_images, _, _, te_groups = next(splits)
-            report["evaluation"] = evaluation_report(
-                ensemble, te_images, te_groups, test_set.trials
-            )
-    if config.out_dir:
-        _write_artifacts(config, report, ensemble, tr_images, te_images)
-    return report
+            stacks["test"], _, _, groups = next(images)
+            predictions = [
+                boosting.predict_trial(ensemble, stacks["test"][rows])
+                for rows in groups
+            ]
+            ev = boosting.evaluate(predictions, [t.label for t in test_set.trials])
+            keys = "tp fp tn fn sensitivity specificity accuracy kappa".split()
+            report["evaluation"] = {key: getattr(ev, key) for key in keys}
+            report["evaluation"]["per_trial"] = [
+                {"trial_id": t.trial_id, "predicted": int(p), "truth": int(t.label)}
+                for t, p in zip(test_set.trials, predictions)
+            ]
+    return ensemble, report, stacks
 
 
-def evaluation_report(ensemble, images, groups, trials) -> dict:
-    """Each trial's vote over its crop rows ``groups`` of ``images``, scored."""
-    predictions = [boosting.predict_trial(ensemble, images[rows]) for rows in groups]
-    truths = [t.label for t in trials]
-    ev = boosting.evaluate(predictions, truths)
-    keys = ("tp", "fp", "tn", "fn", "sensitivity", "specificity", "accuracy", "kappa")
-    report = {key: getattr(ev, key) for key in keys}
-    report["per_trial"] = [
-        {"trial_id": t.trial_id, "predicted": int(p), "truth": int(t.label)}
-        for t, p in zip(trials, predictions)
-    ]
-    return report
-
-
-def _write_artifacts(config, report, ensemble, tr_images, te_images):
+def _write_artifacts(config, report, ensemble, stacks):
     out = str(config.out_dir)
     os.makedirs(out, exist_ok=True)
     snapshot = dataclasses.asdict(config)
@@ -752,10 +726,7 @@ def _write_artifacts(config, report, ensemble, tr_images, te_images):
         os.path.join(out, "config.json"),
         json.dumps(snapshot, indent=2, sort_keys=True, default=repr).encode(),
     )
-    stacks = [("train", tr_images)]
-    if te_images is not None:
-        stacks.append(("test", te_images))
-    for tag, stack in stacks:
+    for tag, stack in stacks.items():
         gridio.write_grid(
             os.path.join(out, f"{tag}_images.grid"),
             {"images": stack},

@@ -309,13 +309,15 @@ class TestGridsearchCommand:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("command", ["run", "eval"])
     def test_even_crop_count_rejected_before_imaging(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, command
     ):
         def no_imaging(*args, **kwargs):
             raise AssertionError("imaging started")
 
         monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
+        monkeypatch.setattr(gridio, "load_ensemble", lambda path: NO_MEMBERS)
         # 4.5 s trials give 6 crops of 2 s at a 0.5 s stride
         cfg = write_cfg(
             tmp_path,
@@ -325,7 +327,8 @@ class TestRunCommand:
         data = tmp_path / "data"
         assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
         manifest = capsys.readouterr().out.strip()
-        code = main(["run", "--config", cfg, "--manifest", manifest])
+        inputs = ["--model", str(tmp_path / "model.json")] if command == "eval" else []
+        code = main([command, "--config", cfg, "--manifest", manifest] + inputs)
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("data error: trial test_left_000: 6 crops")
@@ -471,6 +474,36 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert err.strip() == message
         assert "Traceback" not in err
+
+
+class TestTrainEval:
+    def test_train_then_eval_matches_run(self, tmp_path, capsys):
+        """`train` saves the model `run` saves, and `eval` of it prints the
+        evaluation `run` reports."""
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "time_decimation = 25\n[classifier]\nfirst_block_filters = 4\n"
+            "block_count = 1\nmax_epochs = 3\nchi = 2\n[synth]\ntrials_per_class = 3\n"
+            "test_trials_per_class = 1\ntrial_seconds = 2.0\n",
+        )
+        assert main(["synth", "--config", cfg, "--seed", "4", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        common = ["--config", cfg, "--seed", "4", "--manifest", manifest]
+        run, model, scores = tmp_path / "run", tmp_path / "model", tmp_path / "eval.json"
+        assert main(["run", *common, "--out", str(run)]) == EXIT_OK
+        assert main(["train", *common, "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        saved = str(model / "model.ensemble.json")
+        assert main(["eval", *common, "--model", saved, "--out", str(scores)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        report = json.loads((run / "report.json").read_text())
+        files = sorted(p.name for p in model.iterdir())
+        members = [f"model.member{j}.ckpt" for j in range(1, report["members"] + 1)]
+        assert files == ["model.ensemble.json", *members]
+        for name in files:
+            assert (model / name).read_bytes() == (run / name).read_bytes(), name
+        assert json.loads(scores.read_text()) == json.loads(printed)
+        assert json.loads(printed) == report["evaluation"]
 
 
 @pytest.fixture(scope="module")
@@ -869,6 +902,42 @@ class TestMalformedEnsemble:
             f"the member count, got {best_joint!r}"
         )
 
+    @pytest.mark.parametrize(
+        "weight, shown",
+        [
+            ('"heavy"', "'heavy'"),
+            ("null", "None"),
+            ("true", "True"),
+            ("NaN", "nan"),
+            ("-Infinity", "-inf"),
+            ("1" + "0" * 400, "1" + "0" * 400),
+        ],
+        ids=["string", "null", "bool", "nan", "infinity", "past-float-range"],
+    )
+    def test_weight_not_a_finite_number(self, tmp_path, capsys, monkeypatch, weight, shown):
+        """Refused naming the manifest and the member before any member or
+        trial loads."""
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("member or trials read")
+
+        model = convnet.build_convnet(convnet.ConvNetConfig(), (90, 50))
+        ensemble = boosting.BoostEnsemble(
+            [boosting.BoostMember(model, 1.0, 0.1)] * 2, 2, [1.0, 1.0], [], 2, 0
+        )
+        path = pathlib.Path(gridio.save_ensemble(str(tmp_path / "model"), ensemble))
+        head, _, tail = path.read_text().rpartition('"weight": 1.0')
+        path.write_text(f'{head}"weight": {weight}{tail}')
+        monkeypatch.setattr(pipeline, "load_trials", no_reading)
+        monkeypatch.setattr(gridio, "load_convnet", no_reading)
+        code = main(["eval", "--manifest", str(tmp_path / "m.csv"), "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: {path}: member model.member2.ckpt weight must be a finite "
+            f"number, got {shown}"
+        )
+
 
 def grid_bytes(header, payload=b""):
     """A grid file: the magic, the header's length and text, then ``payload``."""
@@ -1065,23 +1134,30 @@ class TestMalformedText:
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {manifest}:{problem}"
 
-    @pytest.mark.parametrize("name", ["train_left_000.csv", "./train_left_000.csv"])
+    @pytest.mark.parametrize(
+        "name", ["train_left_000.csv", "./train_left_000.csv", "train_left_000.txt"]
+    )
     def test_trial_listed_twice(self, tmp_path, capsys, monkeypatch, name):
-        """A trial in both splits is refused before any band-pass, naming
+        """A trial file listed twice, or a copy of it under another extension
+        (so of the same trial id), is refused before any band-pass, naming
         the manifest and both of its lines."""
 
         def no_filtering(*args, **kwargs):
             raise AssertionError("band-pass started")
 
-        manifest, _ = self.saved(tmp_path)
+        manifest, trial = self.saved(tmp_path)
+        trial.with_suffix(".txt").write_bytes(trial.read_bytes())
         manifest.write_text(manifest.read_text() + f"\n{name},left,test\n")
         monkeypatch.setattr(pipeline, "bandpass", no_filtering)
         code = main(["run", "--manifest", str(manifest)])
         err = capsys.readouterr().err
         assert code == EXIT_DATA
-        assert err.strip() == (
-            f"data error: {manifest}:6: trial file {name} is already listed at line 3"
+        problem = (
+            f"trial id train_left_000 of {name} is already used"
+            if name.endswith(".txt")
+            else f"trial file {name} is already listed"
         )
+        assert err.strip() == f"data error: {manifest}:6: {problem} at line 3"
 
     @pytest.mark.parametrize("fs", ["nan", "inf", "-250", "0"])
     def test_sampling_rate_refused(self, tmp_path, capsys, fs):

@@ -172,22 +172,6 @@ class TestSynthGenerate:
         np.testing.assert_array_equal(a.trials[0].data, b.trials[0].data)
         assert not np.array_equal(a.trials[0].data, c.trials[0].data)
 
-    def test_ground_truth_metadata(self):
-        ts = tiny_synth()
-        truth = ts.metadata["ground_truth"]
-        left = [t for t in ts.trials if t.label == 1][0]
-        assert "C4->C3" in truth[left.trial_id]
-        strength, lo, hi = truth[left.trial_id]["C4->C3"]
-        assert strength == 0.5
-        assert lo == int(0.25 * 500) and hi == int(0.75 * 500)
-
-    def test_zero_coupling_schedules(self):
-        ts = synth_generate(
-            SynthSpec(trials_per_class=1, trial_seconds=2.0, coupling=0.0)
-        )
-        for schedules in ts.metadata["ground_truth"].values():
-            assert all(v[0] == 0.0 for v in schedules.values())
-
     def test_instability_rejected(self):
         with pytest.raises(InstabilityError):
             synth_generate(SynthSpec(pole_radius=1.01))
@@ -207,7 +191,7 @@ class TestSynthGenerate:
 def reference_synth(spec, seed):
     """The generator one trial at a time, one recursion step per sample:
     the oracle for ``synth_generate``.  Returns (data, label, id, split)
-    per trial and the ground truth."""
+    per trial."""
     n = int(round(spec.sampling_rate * spec.trial_seconds))
     n_ch = len(spec.channel_names)
     index = {name: i for i, name in enumerate(spec.channel_names)}
@@ -217,7 +201,7 @@ def reference_synth(spec, seed):
     per_class = spec.trials_per_class
     if spec.split == "test" and spec.test_trials_per_class is not None:
         per_class = spec.test_trials_per_class
-    trials, truth = [], {}
+    trials = []
     for label in (1, -1):
         schedules = spec.schedules(label)
         lo = int(spec.window[0] * n)
@@ -234,11 +218,7 @@ def reference_synth(spec, seed):
                     for (src, dst), (strength, _) in schedules.items():
                         x[index[dst], t] += strength * x[index[src], t - 1]
             trials.append((x, label, trial_id, spec.split))
-            truth[trial_id] = {
-                f"{src}->{dst}": [strength, lo, hi]
-                for (src, dst), (strength, _) in schedules.items()
-            }
-    return trials, truth
+    return trials
 
 
 class TestSynthReference:
@@ -273,14 +253,13 @@ class TestSynthReference:
     )
     def test_equals_per_trial_recursion(self, spec, seed):
         got = synth_generate(spec, seed)
-        trials, truth = reference_synth(spec, seed)
+        trials = reference_synth(spec, seed)
         assert len(got.trials) == len(trials)
         for trial, (data, label, trial_id, split) in zip(got.trials, trials):
             assert (trial.label, trial.trial_id, trial.split) == (label, trial_id, split)
             assert trial.data.shape == data.shape
             assert trial.data.flags.c_contiguous
             assert trial.data.tobytes() == data.tobytes()
-        assert got.metadata["ground_truth"] == truth
         assert got.channel_names == spec.channel_names
         assert got.sampling_rate == spec.sampling_rate
 
@@ -429,11 +408,25 @@ class TestRunPipeline:
         assert "evaluation" not in report
         assert report["n_test_trials"] == 0
 
-    def test_crop_parity(self):
-        config = self.run_config()
-        pipeline.check_crop_parity(tiny_synth(seconds=4.0, split="test"), config)
-        with pytest.raises(DataError, match="trial test_left_000: 6 crops"):
-            pipeline.check_crop_parity(tiny_synth(seconds=4.5, split="test"), config)
+    def test_crop_parity(self, monkeypatch):
+        """A test trial of 5 crops is voted on; one of 6 is refused, naming
+        the trial, before any crop is imaged."""
+        train = tiny_synth(trials_per_class=4, split="train")
+
+        def data(seconds):
+            test = tiny_synth(1, seconds=seconds, split="test", seed=9)
+            return TrialSet(train.trials + test.trials, train.channel_names, 250.0)
+
+        monkeypatch.setattr(pipeline, "_crop_image_unit", fake_crop_image)
+        report = run_pipeline(self.run_config(), trial_set=data(4.0))
+        assert len(report["evaluation"]["per_trial"]) == 2
+
+        def no_imaging(unit):
+            raise AssertionError("imaging started")
+
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
+        with pytest.raises(DataError, match="^trial test_left_000: 6 crops"):
+            run_pipeline(self.run_config(), trial_set=data(4.5))
 
     def test_empty_train_split_rejected(self):
         data = tiny_synth(trials_per_class=2, split="test")
