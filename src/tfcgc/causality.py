@@ -73,6 +73,11 @@ class LevelUnachievableError(ConfigError):
     pass
 
 
+#: the paper's analysis band in Hz: the grid runs from FREQ_LO to below FREQ_HI
+FREQ_LO = 6.0
+FREQ_HI = 15.0
+
+
 @dataclass(frozen=True)
 class CgcConfig:
     """Identification and grid settings for one causality map."""
@@ -83,18 +88,16 @@ class CgcConfig:
     rofr: RofrConfig = field(default_factory=RofrConfig)
     forgetting: float = 0.02
     init_window: int = 50
-    freq_lo: float = 6.0
-    freq_hi: float = 15.0
     freq_step: float = 0.1
     time_decimation: int = 1
 
     def freq_grid(self, sampling_rate: float) -> np.ndarray:
-        if self.freq_hi <= self.freq_lo or self.freq_step <= 0:
-            raise InvalidRangeError("frequency range must be non-empty")
-        n_bins = int(round((self.freq_hi - self.freq_lo) / self.freq_step))
+        if self.freq_step <= 0:
+            raise InvalidRangeError("frequency step must be positive")
+        n_bins = int(round((FREQ_HI - FREQ_LO) / self.freq_step))
         if n_bins < 1:
             raise InvalidRangeError("frequency grid has zero bins")
-        grid = self.freq_lo + self.freq_step * np.arange(n_bins)
+        grid = FREQ_LO + self.freq_step * np.arange(n_bins)
         if grid[-1] > sampling_rate / 2:
             raise InvalidRangeError(
                 f"grid reaches {grid[-1]:g} Hz, beyond Nyquist {sampling_rate / 2:g} Hz"
@@ -355,13 +358,13 @@ class CgcMap:
             raise InvalidRangeError("map value dimensions do not match axes")
 
 
-# grid times per block of `_pair_values`.  A call makes its stacked
+# bytes of each block buffer of `_pair_values`.  A call makes its stacked
 # spectrum and that spectrum's product with Abar^-1, each (times, F,
-# n + pairs, n) complex, once, and every block writes into them.  At 10
-# times a 5-channel crop's two stay under 2 MB each on a 90-frequency
-# grid, so they can stay in a core's L2 cache: larger blocks ran slower
-# and smaller ones no faster (timings in CHANGES.md).
-_TIME_BLOCK = 10
+# n + pairs, n) complex, once, and every block writes into them.  The
+# budget is 10 times of an image crop's 5 + 14 rows on a 90-frequency
+# grid, under 2 MB, so the two can stay in a core's L2 cache: larger
+# blocks ran slower and smaller ones no faster (timings in CHANGES.md).
+_BLOCK_BYTES = 10 * 90 * 19 * 5 * 16
 
 
 def _first_sample(bad: np.ndarray, time_indices: np.ndarray) -> int:
@@ -401,11 +404,12 @@ def _pair_values(
       covariance given the sink: q >= 0 up to rounding;
     - value = log(total / intrinsic) = log1p(q / intrinsic).
 
-    Per block of ``_TIME_BLOCK`` grid times, the block's full lag matrices
-    and every sink row are stacked into one real (times, K, n + pairs, n)
-    array; its spectrum holds Abar and every v.  The spectrum and its
-    product with Abar^-1 go into two buffers made once per call, the last
-    partial block using a leading slice of each.
+    Per block of grid times, the block's full lag matrices and every sink
+    row are stacked into one real (times, K, n + pairs, n) array; its
+    spectrum holds Abar and every v.  The spectrum and its product with
+    Abar^-1 go into two buffers, made once per call, of as many times as
+    fit ``_BLOCK_BYTES`` (one at least); the last partial block uses a
+    leading slice of each.
     """
     slot = {c: i for i, c in enumerate(full.channel_indices)}
     n = len(slot)
@@ -421,17 +425,18 @@ def _pair_values(
         places.append((slice(row, row + len(sinks)), columns, lags))
         row += len(sinks)
     values = np.empty((len(pairs), time_indices.size, len(freqs)))
-    size = (min(_TIME_BLOCK, time_indices.size), len(freqs), n + k.size, n)
+    times = max(1, _BLOCK_BYTES // (16 * len(freqs) * (n + k.size) * n))
+    size = (min(times, time_indices.size), len(freqs), n + k.size, n)
     spectrum, product = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    for t0 in range(0, time_indices.size, _TIME_BLOCK):
-        block = time_indices[t0 : t0 + _TIME_BLOCK]
+    for t0 in range(0, time_indices.size, times):
+        block = time_indices[t0 : t0 + times]
         rows = np.zeros(block.shape + full.lag_matrices.shape[1:2] + (n + k.size, n))
         rows[:, :, :n] = full.lag_matrices[block]
         for at, columns, lags in places:
             rows[:, :, at, columns] = lags[block]
         spec = _spectrum(zero_lag, rows, sampling_rate, freqs, spectrum[: block.size])
         w = _times_inverse(spec, n, "coefficient", t0, product[: block.size])
-        values[:, t0 : t0 + _TIME_BLOCK] = _block_values(
+        values[:, t0 : t0 + times] = _block_values(
             full.residual_covariance[block], w, k, j, block
         )
     return values

@@ -134,7 +134,6 @@ def _cmd_causality(args) -> int:
             "source": args.source,
             "sink": args.sink,
             "sampling_rate": args.fs,
-            "config": gridio.config_hash(config),
         },
     )
     log.info("map %s -> %s: %s", args.source, args.sink, cgc_map.values.shape)
@@ -157,7 +156,7 @@ def _cmd_image(args) -> int:
     gridio.write_grid(
         os.path.join(out, "images.grid"),
         {"images": images, "labels": labels.astype(float)},
-        meta={"trial_ids": ids, "config": gridio.config_hash(config)},
+        meta={"trial_ids": ids},
     )
     for tid, rows in zip(ids, groups):
         for j, row in enumerate(rows):

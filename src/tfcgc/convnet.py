@@ -32,6 +32,16 @@ class DegenerateLabelsError(DataError):
     """A training fold contains fewer than two classes."""
 
 
+# the paper's fixed optimizer, batch-norm and pooling constants
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
+POOL_FACTOR = 2
+
+
 @dataclass(frozen=True)
 class ConvNetConfig:
     """Architecture and optimization settings."""
@@ -41,18 +51,10 @@ class ConvNetConfig:
     block_count: int = ranged(2, Range(1, 5))
     spatial_height: int = 90
     dropout_rate: float = ranged(0.5, Range(0, 1, "[)"))
-    pool_factor: int = ranged(2, Range(1))
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
     batch_size: int = 16
     max_epochs: int = 200
     early_stop_patience: int = 50
     seed: int = 0
-    input_scaling: bool = False
 
     def __post_init__(self) -> None:
         # the [10, 20] kernel range applies to the standard 90-row images;
@@ -76,7 +78,7 @@ def _time_lengths(config: ConvNetConfig, n_time: int) -> list[int]:
                 f"block {block}: temporal convolution needs "
                 f"{config.temporal_kernel} samples, have {t + config.temporal_kernel - 1}"
             )
-        t = t // config.pool_factor
+        t = t // POOL_FACTOR
         if t < 1:
             raise ArchitectureError(f"block {block}: pooling empties the signal")
         lengths.append(t)
@@ -178,21 +180,21 @@ def _elu_backward(grad, y):
     return grad * np.where(y > 0, 1.0, y + 1.0)
 
 
-def _max_pool(x, factor):
+def _max_pool(x):
     b, c, l = x.shape
-    l_out = l // factor
-    trimmed = x[:, :, : l_out * factor].reshape(b, c, l_out, factor)
+    l_out = l // POOL_FACTOR
+    trimmed = x[:, :, : l_out * POOL_FACTOR].reshape(b, c, l_out, POOL_FACTOR)
     idx = trimmed.argmax(axis=3)
     out = np.take_along_axis(trimmed, idx[..., None], axis=3)[..., 0]
     return out, idx
 
 
-def _max_pool_backward(grad, idx, factor, l_in):
+def _max_pool_backward(grad, idx, l_in):
     b, c, l_out = grad.shape
-    dtrim = np.zeros((b, c, l_out, factor))
+    dtrim = np.zeros((b, c, l_out, POOL_FACTOR))
     np.put_along_axis(dtrim, idx[..., None], grad[..., None], axis=3)
     dx = np.zeros((b, c, l_in))
-    dx[:, :, : l_out * factor] = dtrim.reshape(b, c, l_out * factor)
+    dx[:, :, : l_out * POOL_FACTOR] = dtrim.reshape(b, c, l_out * POOL_FACTOR)
     return dx
 
 
@@ -239,7 +241,7 @@ def forward(
         if train:
             mean = h.mean(axis=(0, 2))
             var = h.var(axis=(0, 2))
-            m = cfg.bn_momentum
+            m = BN_MOMENTUM
             model.running[f"block{block}/mean"] = (
                 m * model.running[f"block{block}/mean"] + (1 - m) * mean
             )
@@ -249,7 +251,7 @@ def forward(
         else:
             mean = model.running[f"block{block}/mean"]
             var = model.running[f"block{block}/var"]
-        inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (h - mean[None, :, None]) * inv_std[None, :, None]
         cache[f"b{block}/xhat"] = xhat
         cache[f"b{block}/inv_std"] = inv_std
@@ -258,7 +260,7 @@ def forward(
         h = _elu(h)
         cache[f"b{block}/act"] = h
         cache[f"b{block}/pool_in_len"] = h.shape[2]
-        h, idx = _max_pool(h, cfg.pool_factor)
+        h, idx = _max_pool(h)
         cache[f"b{block}/pool_idx"] = idx
         cache[f"b{block}/out"] = h
     flat = h.reshape(h.shape[0], -1)
@@ -316,8 +318,7 @@ def loss_and_gradients(
     grad = dflat.reshape(h_last.shape)
     for block in range(cfg.block_count, 0, -1):
         grad = _max_pool_backward(
-            grad, cache[f"b{block}/pool_idx"], cfg.pool_factor,
-            cache[f"b{block}/pool_in_len"],
+            grad, cache[f"b{block}/pool_idx"], cache[f"b{block}/pool_in_len"]
         )
         grad = _elu_backward(grad, cache[f"b{block}/act"])
         xhat = cache[f"b{block}/xhat"]
@@ -356,15 +357,14 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def step(self, params, grads, cfg: ConvNetConfig):
+    def step(self, params, grads):
         self.t += 1
-        b1, b2 = cfg.beta1, cfg.beta2
         for key, g in grads.items():
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            mhat = self.m[key] / (1 - b1**self.t)
-            vhat = self.v[key] / (1 - b2**self.t)
-            params[key] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+            self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
+            self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
+            mhat = self.m[key] / (1 - BETA1**self.t)
+            vhat = self.v[key] / (1 - BETA2**self.t)
+            params[key] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
 
 
 def predict(model: ConvNetModel, images: np.ndarray) -> np.ndarray:
@@ -405,10 +405,6 @@ def train(
         weights = np.asarray(sample_weights, dtype=float)
         weights = weights / weights.sum()
     work = model.clone()
-    if cfg.input_scaling:
-        # literal reading: the base learner sees weight-scaled inputs
-        images = images * (n * weights)[:, None, None]
-        weights = np.full(n, 1.0 / n)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     adam = AdamState(work.params)
     best = work.clone()
@@ -422,7 +418,7 @@ def train(
             loss, grads = loss_and_gradients(
                 work, images[idx], labels[idx], weights[idx], rng=rng
             )
-            adam.step(work.params, grads, cfg)
+            adam.step(work.params, grads)
             epoch_loss += loss * weights[idx].sum()
         if validation is not None and len(validation[1]) > 0:
             score = accuracy(work, validation[0], validation[1])

@@ -45,18 +45,6 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-def config_hash(config) -> str:
-    """Stable short hash of a dataclass or mapping, for header stamping."""
-    import hashlib  # loaded on first use, so importing the package skips OpenSSL
-
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = dataclasses.asdict(config)
-    else:
-        payload = dict(config or {})
-    text = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
     head = json.dumps(header, sort_keys=True).encode()
     parts = [magic, struct.pack("<Q", len(head)), head]

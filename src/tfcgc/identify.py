@@ -58,6 +58,8 @@ class InvalidForgettingError(ConfigError):
 FORGETTING = Range(0, 1, "()")
 #: the largest m x m Gram buffer ``_search`` may reserve for m design columns
 MAX_GRAM_BYTES = 2**30
+#: ``_search`` screens out a candidate whose deflated squared norm is below this
+ELIMINATION_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,6 @@ class RofrConfig:
 
     regularization: float | None = ranged(None, Range(0))
     pesr_mu: float = ranged(8.0, Range(5, 10))
-    elimination_exponent: int = ranged(12, Range(10, ends="(]"))
     max_terms: int = ranged(40, Range(1))
     # PESR must rise this many consecutive steps before the search stops;
     # the reported model size is the global argmin over executed steps.
@@ -78,10 +79,6 @@ class RofrConfig:
 
     def __post_init__(self):
         check_ranges(self)
-
-    @property
-    def elimination_threshold(self) -> float:
-        return 10.0 ** (-self.elimination_exponent)
 
 
 @dataclass
@@ -262,11 +259,10 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
         rho = np.array([1e-4 * float(col_sq_all[c].mean()) for _, c in equations])
     else:
         rho = np.full(count, float(config.regularization))
-    eps = config.elimination_threshold
     xtx = np.array([float(t @ t) for t in targets])[target_of]
     h_sq = col_sq.copy()  # ||h_j||^2 of the deflated candidates
     h_x = np.stack([psi.T @ t for t in targets])[target_of[:, None], cols]  # <h_j, X>
-    active &= h_sq >= eps
+    active &= h_sq >= ELIMINATION_THRESHOLD
     for e in range(count):
         if xtx[e] <= 0:
             raise EmptyModelError("target vector has zero energy")
@@ -325,7 +321,7 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
             h = h[:, s + 1 :]
             h_sq[e, sus] = np.einsum("ij,ij->j", h, h)
             h_x[e, sus] = h.T @ x[e]
-        active &= h_sq >= eps
+        active &= h_sq >= ELIMINATION_THRESHOLD
         rerr_sum += rerr[:, s]
         pesr[:, s] = (1.0 - rerr_sum) / (1.0 - mu * (s + 1) / n_pesr) ** 2
         if s:

@@ -727,11 +727,7 @@ def _write_artifacts(config, report, ensemble, stacks):
         json.dumps(snapshot, indent=2, sort_keys=True, default=repr).encode(),
     )
     for tag, stack in stacks.items():
-        gridio.write_grid(
-            os.path.join(out, f"{tag}_images.grid"),
-            {"images": stack},
-            meta={"config": gridio.config_hash(config)},
-        )
+        gridio.write_grid(os.path.join(out, f"{tag}_images.grid"), {"images": stack})
     gridio.save_ensemble(os.path.join(out, "model"), ensemble)
     gridio.atomic_write(
         os.path.join(out, "report.json"),

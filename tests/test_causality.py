@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tfcgc.causality import (
 )
 from tfcgc import causality, pipeline
 from tfcgc.identify import RofrConfig
+from tfcgc.images import ELECTRODE_ORDER, IMAGE_PAIRS
 
 CHEAP = CgcConfig(orders=(3,), scale=2, lags=2, freq_step=0.5, init_window=20)
 
@@ -613,6 +615,25 @@ def fit_together(signals, systems, config):
     ]
 
 
+#: bytes one grid time takes in each block buffer of ``_pair_values`` for
+#: all 12 pairs of 4 channels on CHEAP's 18-frequency grid
+FOUR_CHANNEL_TIME = 16 * 18 * (4 + 12) * 4
+
+
+def keep_spectra(monkeypatch):
+    """The (spectrum, w) of every block ``_pair_values`` inverts, in order."""
+    kept = []
+    real = causality._times_inverse
+
+    def keeping(rows, *args, **kwargs):
+        w = real(rows, *args, **kwargs)
+        kept.append((rows, w))
+        return w
+
+    monkeypatch.setattr(causality, "_times_inverse", keeping)
+    return kept
+
+
 class TestBatchedPairs:
     def check_crop_against_explicit_path(self, cfg, times):
         spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
@@ -716,9 +737,13 @@ class TestBatchedPairs:
         rng = np.random.default_rng(21)
         sig = rng.standard_normal((4, 155))
         assert 155 % block != 0
-        monkeypatch.setattr(causality, "_TIME_BLOCK", block)
+        kept = keep_spectra(monkeypatch)
+        monkeypatch.setattr(causality, "_BLOCK_BYTES", block * FOUR_CHANNEL_TIME)
         blocked = pairwise_maps(sig, range(4), 250.0, CHEAP)
-        monkeypatch.setattr(causality, "_TIME_BLOCK", 10**6)
+        assert [rows.shape[0] for rows, _ in kept] == [block] * (155 // block) + [
+            155 % block
+        ]
+        monkeypatch.setattr(causality, "_BLOCK_BYTES", 10**12)
         whole = pairwise_maps(sig, range(4), 250.0, CHEAP)
         assert blocked.keys() == whole.keys()
         for pair in whole:
@@ -727,31 +752,49 @@ class TestBatchedPairs:
     def test_blocks_share_one_spectrum_buffer(self, monkeypatch):
         # the first block's spectrum and w are kept alive, so a later block
         # reuses their memory only if the call holds one buffer for each
-        kept = []
-        real = causality._times_inverse
-
-        def keeping(rows, *args, **kwargs):
-            w = real(rows, *args, **kwargs)
-            kept.append((rows, w))
-            return w
-
-        monkeypatch.setattr(causality, "_times_inverse", keeping)
+        kept = keep_spectra(monkeypatch)
+        monkeypatch.setattr(causality, "_BLOCK_BYTES", 10 * FOUR_CHANNEL_TIME)
         rng = np.random.default_rng(22)
         pairwise_maps(rng.standard_normal((4, 155)), range(4), 250.0, CHEAP)
-        assert len(kept) == -(-155 // causality._TIME_BLOCK)
+        assert len(kept) == -(-155 // 10)
         (rows0, w0), *later = kept
         for rows, w in later:
             assert np.shares_memory(rows, rows0)
             assert np.shares_memory(w, w0)
 
-    def test_singular_cell_in_later_block(self):
+    def test_budget_fills_a_block(self, monkeypatch):
+        # one byte short of 3 times' buffer holds 2 times; at least 1 always
+        kept = keep_spectra(monkeypatch)
+        sig = np.random.default_rng(23).standard_normal((4, 155))
+        for budget, blocks in [(3 * FOUR_CHANNEL_TIME - 1, [2, 2, 1]), (1, [1] * 5)]:
+            kept.clear()
+            monkeypatch.setattr(causality, "_BLOCK_BYTES", budget)
+            # 5 grid times
+            pairwise_maps(sig, range(4), 250.0, replace(CHEAP, time_decimation=31))
+            assert [rows.shape[0] for rows, _ in kept] == blocks
+
+    def test_image_grid_blocks_hold_ten_times(self, monkeypatch):
+        # the image path's 5 channels, 14 pairs and 90 frequencies
+        kept = keep_spectra(monkeypatch)
+        pairs = [
+            (ELECTRODE_ORDER.index(s), ELECTRODE_ORDER.index(k)) for s, k in IMAGE_PAIRS
+        ]
+        sig = np.random.default_rng(24).standard_normal((5, 250))
+        config = CgcConfig(orders=(3,), scale=2, lags=2, init_window=20, time_decimation=10)
+        pairwise_maps(sig, range(5), 250.0, config, pairs)
+        assert [rows.shape for rows, _ in kept] == [(10, 90, 19, 5)] * 2 + [(5, 90, 19, 5)]
+
+    def test_singular_cell_in_later_block(self, monkeypatch):
         # the rotation of TestPairValues, at a time in the third block
         fs = 250.0
         theta = 2 * np.pi * 10.0 / fs
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        block = causality._TIME_BLOCK
+        # 10 times a block of this 2-channel, 1-pair, 4-frequency grid
+        block = 10
+        kept = keep_spectra(monkeypatch)
+        monkeypatch.setattr(causality, "_BLOCK_BYTES", block * 16 * 4 * 3 * 2)
         n, t_bad = 3 * block, 2 * block + 3
         lag = np.zeros((n, 1, 2, 2))
         lag[t_bad, 0] = rot
@@ -763,3 +806,5 @@ class TestBatchedPairs:
                 full, [(1, [0], restricted.lag_matrices)], fs, freqs, np.arange(n)
             )
         assert (info.value.t, info.value.f) == (t_bad, 2)
+        # the first two blocks passed
+        assert [rows.shape[0] for rows, _ in kept] == [block, block]

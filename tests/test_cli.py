@@ -505,6 +505,28 @@ class TestTrainEval:
         assert json.loads(scores.read_text()) == json.loads(printed)
         assert json.loads(printed) == report["evaluation"]
 
+    def test_artifacts_identical_across_threads(self, tmp_path, capsys):
+        """Every file `run` writes but `config.json`, which records the
+        thread count, is byte-identical at 1 and 2 threads."""
+        cfg = write_cfg(
+            tmp_path,
+            CHEAP_CFG + "time_decimation = 25\n[classifier]\nfirst_block_filters = 4\n"
+            "block_count = 1\nmax_epochs = 3\nchi = 2\n[synth]\ntrials_per_class = 3\n"
+            "test_trials_per_class = 1\ntrial_seconds = 2.0\n",
+        )
+        assert main(["synth", "--config", cfg, "--seed", "4", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for threads, out in zip(("1", "2"), outs):
+            args = ["--seed", "4", "--threads", threads, "--out", str(out)]
+            assert main(["run", "--config", cfg, "--manifest", manifest, *args]) == EXIT_OK
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        assert {"train_images.grid", "test_images.grid", "report.json"} <= set(files)
+        for name in files:
+            if name != "config.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 @pytest.fixture(scope="module")
 def saved_trials(tmp_path_factory):
@@ -1040,9 +1062,16 @@ class TestMalformedCheckpoint:
                 "checkpoint does not build a network (TypeError(",
             ),
             (
-                lambda config, tensors: config.update(pool_factor=0),
+                # a checkpoint of the days the optimizer constants were settings
+                lambda config, tensors: config.update(
+                    learning_rate=1e-3, input_scaling=False
+                ),
+                "checkpoint does not build a network (TypeError(",
+            ),
+            (
+                lambda config, tensors: config.update(block_count=0),
                 "checkpoint does not build a network (ArchitectureError("
-                "'pool_factor must be at least 1, got 0'))",
+                "'block_count must be in [1, 5], got 0'))",
             ),
             (
                 lambda config, tensors: tensors.update({"dense/b": np.zeros(3)}),
@@ -1058,7 +1087,8 @@ class TestMalformedCheckpoint:
             ),
         ],
         ids=[
-            "no-tensor", "no-running-tensor", "unknown-config-key", "zero-pool-factor",
+            "no-tensor", "no-running-tensor", "unknown-config-key",
+            "former-config-keys", "zero-block-count",
             "tensor-shape", "nan-tensor", "infinite-running-tensor",
         ],
     )

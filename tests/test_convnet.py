@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfcgc.convnet import (
+    BN_EPSILON,
     ArchitectureError,
     ConvNetConfig,
     DegenerateLabelsError,
@@ -139,7 +140,7 @@ class TestForward:
         s = np.array([1.0 - 0.5, 2.0, 3.0 - 1.0, 4.0 + 1.0]) + 0.5
         # temporal conv, valid, kernel (1, 2): c[t] = s[t] + 2 s[t+1] - 0.25
         c = np.array([s[0] + 2 * s[1], s[1] + 2 * s[2], s[2] + 2 * s[3]]) - 0.25
-        xhat = (c - 0.3) / np.sqrt(0.5 + cfg.bn_epsilon)
+        xhat = (c - 0.3) / np.sqrt(0.5 + BN_EPSILON)
         a = 2.0 * xhat + 0.1
         a = np.where(a > 0, a, np.expm1(a))
         pooled = max(a[0], a[1])  # trailing element dropped
@@ -338,20 +339,3 @@ class TestTraining:
         model = build_convnet(TINY, (4, 20))
         labels = predict(model, np.random.default_rng(10).standard_normal((5, 4, 20)))
         assert set(labels.tolist()).issubset({-1, 1})
-
-    def test_input_scaling_mode_runs(self):
-        rng = np.random.default_rng(11)
-        images, labels = separable_set(rng, n=8)
-        cfg = ConvNetConfig(
-            temporal_kernel=5,
-            first_block_filters=2,
-            block_count=1,
-            spatial_height=6,
-            batch_size=4,
-            max_epochs=3,
-            early_stop_patience=3,
-            input_scaling=True,
-        )
-        weights = np.full(8, 1.0 / 8)
-        trained = train(build_convnet(cfg, (6, 30)), images, labels, weights)
-        assert len(trained.history) >= 1

@@ -11,7 +11,6 @@ from tfcgc.boosting import BoostEnsemble, BoostMember, adaboost_train, ensemble_
 from tfcgc.errors import DataError
 from tfcgc.gridio import (
     FormatError,
-    config_hash,
     load_checkpoint,
     load_convnet,
     load_ensemble,
@@ -31,7 +30,7 @@ class TestGrid:
             "mask": rng.integers(0, 2, size=(37, 18)).astype(float),
         }
         axes = {"time": np.arange(1, 38), "freq": np.linspace(6, 14.5, 18)}
-        meta = {"source": "C3", "sink": "C4", "config": config_hash({"a": 1})}
+        meta = {"source": "C3", "sink": "C4"}
         path = tmp_path / "map.grid"
         write_grid(path, arrays, axes, meta)
         back, back_axes, back_meta = read_grid(path)
@@ -225,13 +224,3 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             load_checkpoint(path)
-
-
-class TestTextOutputs:
-    def test_config_hash_stability(self):
-        a = config_hash({"x": 1, "y": [1, 2]})
-        b = config_hash({"y": [1, 2], "x": 1})
-        c = config_hash({"x": 2, "y": [1, 2]})
-        assert a == b
-        assert a != c
-        assert len(a) == 16

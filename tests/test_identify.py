@@ -5,6 +5,7 @@ from tfcgc import pipeline
 from tfcgc.bsplines import BSplineSpec, basis_eval, build_dictionary
 from tfcgc.causality import _fit_models
 from tfcgc.identify import (
+    ELIMINATION_THRESHOLD,
     EmptyModelError,
     InsufficientDataError,
     InvalidForgettingError,
@@ -52,7 +53,7 @@ def explicit_rofr_oracle(psi, x, config):
     deflated against each new orthogonal direction and its squared norm
     recomputed from the N rows, then screened.  Returns the candidates in
     the order the search took them and the PESR argmin q."""
-    eps = config.elimination_threshold
+    eps = ELIMINATION_THRESHOLD
     rho = config.regularization
     xtx = x @ x
     h = psi.copy()
