@@ -16,35 +16,3 @@ from .convnet import ConvNetConfig, ConvNetModel, build_convnet
 from .pipeline import RunConfig, SynthSpec, TrialSet, run_pipeline, synth_generate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BSplineSpec",
-    "MultiwaveletDictionary",
-    "build_dictionary",
-    "CgcConfig",
-    "CgcMap",
-    "pairwise_maps",
-    "significance_test",
-    "tf_cgc_map",
-    "RofrConfig",
-    "TvarxModel",
-    "fit_tvarx",
-    "rofr_select",
-    "CausalityImage",
-    "Crop",
-    "assemble_image",
-    "crop_trial",
-    "BoostEnsemble",
-    "EvalReport",
-    "adaboost_train",
-    "evaluate",
-    "ConvNetConfig",
-    "ConvNetModel",
-    "build_convnet",
-    "RunConfig",
-    "SynthSpec",
-    "TrialSet",
-    "run_pipeline",
-    "synth_generate",
-    "__version__",
-]

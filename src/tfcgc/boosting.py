@@ -17,10 +17,6 @@ from . import convnet
 from .errors import DataError, Range
 
 
-class InvalidInputError(DataError):
-    """Empty or inconsistent inputs to boosting or evaluation."""
-
-
 #: the boosting rounds ``adaboost_train`` accepts
 ROUNDS = Range(1)
 
@@ -57,7 +53,7 @@ def ensemble_predict(
     if prefix is None:
         prefix = ensemble.best_joint
     if prefix < 1 or prefix > len(ensemble.members):
-        raise InvalidInputError(f"prefix {prefix} out of range")
+        raise DataError(f"prefix {prefix} out of range")
     score = np.zeros(np.asarray(images).shape[0])
     for member in ensemble.members[:prefix]:
         score += member.weight * _member_predict(member.model, images)
@@ -95,14 +91,14 @@ def adaboost_train(
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0] or labels.shape[0] == 0:
-        raise InvalidInputError("images and labels must be equal-length, non-empty")
+        raise DataError("images and labels must be equal-length, non-empty")
     if not set(np.unique(labels)).issubset({-1, 1}):
-        raise InvalidInputError("labels must be coded -1/+1")
+        raise DataError("labels must be coded -1/+1")
     if not ROUNDS.holds(chi):
-        raise InvalidInputError(f"chi must be {ROUNDS}, got {chi}")
+        raise DataError(f"chi must be {ROUNDS}, got {chi}")
     if learner_factory is None:
         if base_config is None:
-            raise InvalidInputError("need a base config or a learner factory")
+            raise DataError("need a base config or a learner factory")
         learner_factory = _default_learner_factory(base_config, seed)
 
     tr_idx, va_idx = convnet.train_val_split(len(labels), val_fraction, seed)
@@ -141,7 +137,7 @@ def adaboost_train(
         if terminate:
             break
     if not members:
-        raise InvalidInputError(
+        raise DataError(
             "no usable base learner: first round had weighted error >= 0.5"
         )
     if len(y_va) > 0:
@@ -162,9 +158,9 @@ def predict_trial(ensemble: BoostEnsemble, crop_images: np.ndarray) -> int:
     """Majority vote of the ensemble's hard labels over a trial's crops."""
     crop_images = np.asarray(crop_images, dtype=float)
     if crop_images.ndim != 3 or crop_images.shape[0] == 0:
-        raise InvalidInputError("expected a (crops, height, time) stack")
+        raise DataError("expected a (crops, height, time) stack")
     if crop_images.shape[0] % 2 == 0:
-        raise InvalidInputError("crop count must be odd for majority voting")
+        raise DataError("crop count must be odd for majority voting")
     votes = ensemble_predict(ensemble, crop_images)
     return 1 if votes.sum() > 0 else -1
 
@@ -217,7 +213,7 @@ def evaluate(predictions, truths) -> EvalReport:
     predictions = np.asarray(predictions)
     truths = np.asarray(truths)
     if predictions.shape != truths.shape or predictions.size == 0:
-        raise InvalidInputError("need equal-length, non-empty label lists")
+        raise DataError("need equal-length, non-empty label lists")
     tp = int(np.sum((predictions == 1) & (truths == 1)))
     fp = int(np.sum((predictions == 1) & (truths == -1)))
     tn = int(np.sum((predictions == -1) & (truths == -1)))

@@ -16,28 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, Range
 
-__all__ = [
-    "BSplineSpec",
-    "MultiwaveletDictionary",
-    "bspline_eval",
-    "basis_eval",
-    "build_dictionary",
-    "shift_range",
-]
-
-
-class InvalidOrderError(ConfigError):
-    pass
-
-
-class OutOfRangeError(DataError):
-    pass
-
-
-class InvalidSpecError(ConfigError):
-    pass
-
-
 #: the orders, scales and lags every basis and dictionary holds to
 ORDERS = Range(1)
 SCALES = Range(0)
@@ -53,7 +31,7 @@ def bspline_eval(order: int, u):
     with support [0, s].  Accepts scalars or arrays.
     """
     if not ORDERS.holds(order):
-        raise InvalidOrderError(f"B-spline order must be {ORDERS}, got {order}")
+        raise ConfigError(f"B-spline order must be {ORDERS}, got {order}")
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     out = _bspline_rec(int(order), np.atleast_1d(u))
@@ -83,11 +61,11 @@ class BSplineSpec:
 
     def __post_init__(self):
         if not ORDERS.holds(self.order):
-            raise InvalidOrderError(f"order must be {ORDERS}, got {self.order}")
+            raise ConfigError(f"order must be {ORDERS}, got {self.order}")
         if not SCALES.holds(self.scale):
-            raise InvalidSpecError(f"scale must be {SCALES}, got {self.scale}")
+            raise ConfigError(f"scale must be {SCALES}, got {self.scale}")
         if not (-self.order <= self.shift <= 2**self.scale - 1):
-            raise InvalidSpecError(
+            raise ConfigError(
                 f"shift {self.shift} outside admissible range "
                 f"[{-self.order}, {2**self.scale - 1}] for order {self.order}, "
                 f"scale {self.scale}"
@@ -98,7 +76,7 @@ def basis_eval(spec: BSplineSpec, u):
     """Evaluate ``2**(j/2) * beta_s(2**j * u - l)`` at ``u`` in [0, 1]."""
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-        raise OutOfRangeError("basis evaluation point must lie in [0, 1]")
+        raise DataError("basis evaluation point must lie in [0, 1]")
     amp = 2.0 ** (spec.scale / 2.0)
     return amp * bspline_eval(spec.order, 2**spec.scale * u_arr - spec.shift)
 
@@ -165,7 +143,7 @@ def _dictionary(orders, scale: int, lags) -> MultiwaveletDictionary:
         ("scale", scale, SCALES),
     ):
         if not bound.holds(value):
-            raise InvalidSpecError(f"{name} must be {bound}, got {value}")
+            raise ConfigError(f"{name} must be {bound}, got {value}")
     cands = []
     for v, max_lag in enumerate(lags):
         for k in range(1, max_lag + 1):

@@ -30,49 +30,6 @@ from .bsplines import build_dictionary
 from .errors import ConfigError, DataError, NumericError
 from .identify import RofrConfig, TvarxModel, fit_equations, recursive_covariance
 
-__all__ = [
-    "CgcConfig",
-    "CgcMap",
-    "FittedSystem",
-    "NormalizedSystem",
-    "fit_system",
-    "normalize_restricted",
-    "normalize_full",
-    "spectral_matrices",
-    "combine_transfer",
-    "conditional_causality",
-    "tf_cgc_map",
-    "significance_test",
-]
-
-
-class DegenerateVarianceError(NumericError):
-    pass
-
-
-class ConditioningError(NumericError):
-    def __init__(self, msg, t=None, f=None):
-        super().__init__(msg)
-        self.t = t
-        self.f = f
-
-
-class DegenerateSpectrumError(NumericError):
-    pass
-
-
-class InvalidRangeError(DataError):
-    pass
-
-
-class InvalidConfigurationError(ConfigError):
-    pass
-
-
-class LevelUnachievableError(ConfigError):
-    pass
-
-
 #: the paper's analysis band in Hz: the grid runs from FREQ_LO to below FREQ_HI
 FREQ_LO = 6.0
 FREQ_HI = 15.0
@@ -93,13 +50,13 @@ class CgcConfig:
 
     def freq_grid(self, sampling_rate: float) -> np.ndarray:
         if self.freq_step <= 0:
-            raise InvalidRangeError("frequency step must be positive")
+            raise DataError("frequency step must be positive")
         n_bins = int(round((FREQ_HI - FREQ_LO) / self.freq_step))
         if n_bins < 1:
-            raise InvalidRangeError("frequency grid has zero bins")
+            raise DataError("frequency grid has zero bins")
         grid = FREQ_LO + self.freq_step * np.arange(n_bins)
         if grid[-1] > sampling_rate / 2:
-            raise InvalidRangeError(
+            raise DataError(
                 f"grid reaches {grid[-1]:g} Hz, beyond Nyquist {sampling_rate / 2:g} Hz"
             )
         return grid
@@ -191,7 +148,7 @@ def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
     sigma_xx = cov[:, 0, 0]
     if np.any(sigma_xx <= 0):
         t_bad = int(np.argmax(sigma_xx <= 0)) + 1
-        raise DegenerateVarianceError(f"sink residual variance <= 0 at t={t_bad}")
+        raise NumericError(f"sink residual variance <= 0 at t={t_bad}")
     c = np.tile(np.eye(n_vars), (n, 1, 1))
     c[:, 1:, 0] = -cov[:, 1:, 0] / sigma_xx[:, None]
     return _apply_zero_lag(system, c)
@@ -209,14 +166,14 @@ def normalize_full(system: FittedSystem) -> NormalizedSystem:
     sigma_xx = cov[:, 0, 0]
     if np.any(sigma_xx <= 0):
         t_bad = int(np.argmax(sigma_xx <= 0)) + 1
-        raise DegenerateVarianceError(f"sink residual variance <= 0 at t={t_bad}")
+        raise NumericError(f"sink residual variance <= 0 at t={t_bad}")
     d1 = np.tile(np.eye(n_vars), (n, 1, 1))
     d1[:, 1:, 0] = -cov[:, 1:, 0] / sigma_xx[:, None]
     # conditional (given X) covariances of (Y, Z)
     syy = cov[:, 1, 1] - cov[:, 1, 0] * cov[:, 0, 1] / sigma_xx
     if np.any(syy <= 0):
         t_bad = int(np.argmax(syy <= 0)) + 1
-        raise DegenerateVarianceError(
+        raise NumericError(
             f"conditional source residual variance <= 0 at t={t_bad}"
         )
     szy = cov[:, 2:, 1] - cov[:, 2:, 0] * (cov[:, 0, 1] / sigma_xx)[:, None]
@@ -251,7 +208,7 @@ def _spectrum(zero_lag, lags, sampling_rate: float, freqs, out=None) -> np.ndarr
     array if None), which is returned."""
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs < 0) or np.any(freqs > sampling_rate / 2):
-        raise InvalidRangeError("frequencies must lie in [0, f_s / 2]")
+        raise DataError("frequencies must lie in [0, f_s / 2]")
     n_times, n_lags = lags.shape[:2]
     angle = 2 * np.pi * np.outer(freqs, np.arange(1, n_lags + 1)) / sampling_rate
     lags = lags.reshape(n_times, n_lags, -1)
@@ -274,16 +231,16 @@ def _times_inverse(rows, n: int, what: str, t0: int = 0, out=None) -> np.ndarray
     try:
         inv = np.linalg.inv(rows[..., :n, :])
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"singular {what} matrix on the grid") from exc
+        raise NumericError(f"singular {what} matrix on the grid") from exc
     prod = np.matmul(rows, inv, out=out)
     resid = prod[..., :n, :]
     resid -= np.eye(n)
     resid = np.abs(resid).max(axis=(-2, -1))
-    if not np.all(np.isfinite(inv)) or resid.max() > 1e-8:
-        t, f = np.unravel_index(int(np.nanargmax(resid)), resid.shape)
-        t += t0
-        raise ConditioningError(
-            f"ill-conditioned {what} matrix at grid point (t={t}, f={f})", t=t, f=f
+    if not np.all(np.isfinite(inv)) or not resid.max() <= 1e-8:
+        # argmax takes the first NaN cell if there is one, else the worst
+        t, f = np.unravel_index(int(np.argmax(resid)), resid.shape)
+        raise NumericError(
+            f"ill-conditioned {what} matrix at grid point (t={t + t0}, f={f})"
         )
     return prod[..., n:, :]
 
@@ -323,7 +280,7 @@ def conditional_causality(
     row = r_mat[:, :, 0, :]
     sxx = noise_cov[:, 0, 0]
     if np.any(sxx <= 0):
-        raise DegenerateSpectrumError("sink noise variance <= 0")
+        raise NumericError("sink noise variance <= 0")
     syy = noise_cov[:, 1, 1]
     szz = noise_cov[:, 2:, 2:]
     rxx = row[:, :, 0]
@@ -336,10 +293,10 @@ def conditional_causality(
     ).real
     total = intrinsic + source_part + np.maximum(cond_part, 0.0)
     if np.any(intrinsic <= 0):
-        raise DegenerateSpectrumError("intrinsic spectrum term <= 0 on the grid")
+        raise NumericError("intrinsic spectrum term <= 0 on the grid")
     vals = np.log(total / intrinsic)
     if np.any(vals < -1e-12):
-        raise DegenerateSpectrumError("causality undershoot beyond tolerance")
+        raise NumericError("causality undershoot beyond tolerance")
     return np.maximum(vals, 0.0)
 
 
@@ -355,7 +312,7 @@ class CgcMap:
 
     def __post_init__(self):
         if self.values.shape != (self.time_axis.size, self.freq_axis.size):
-            raise InvalidRangeError("map value dimensions do not match axes")
+            raise DataError("map value dimensions do not match axes")
 
 
 # bytes of each block buffer of `_pair_values`.  A call makes its stacked
@@ -365,6 +322,13 @@ class CgcMap:
 # grid, under 2 MB, so the two can stay in a core's L2 cache: larger
 # blocks ran slower and smaller ones no faster (timings in CHANGES.md).
 _BLOCK_BYTES = 10 * 90 * 19 * 5 * 16
+
+
+def peak_bound(n_samples: int) -> float:
+    """(float max)^(1/4) / sqrt(n_samples): a second moment of n_samples
+    samples (a Gram entry, a covariance) reaches n_samples x^2 at peak
+    |sample| x, and the search and the pair kernel multiply two of them."""
+    return np.finfo(float).max ** 0.25 / np.sqrt(n_samples)
 
 
 def _first_sample(bad: np.ndarray, time_indices: np.ndarray) -> int:
@@ -448,7 +412,7 @@ def _block_values(cov, w, k, j, block):
     sigma_k = cov[:, k]  # (T, pairs, n): Sigma[k, :] of each pair's sink
     s_kk = sigma_k[:, each, k]
     if np.any(s_kk <= 0):
-        raise DegenerateVarianceError(
+        raise NumericError(
             f"sink residual variance <= 0 at t={_first_sample(s_kk <= 0, block)}"
         )
     # Sigma_{.|k} per pair, its sink row and column exactly 0, so a pair
@@ -459,7 +423,7 @@ def _block_values(cov, w, k, j, block):
     cond[:, each, :, k] = 0.0
     s_jj = cond[:, each, j, j]
     if np.any(s_jj <= 0):
-        raise DegenerateVarianceError(
+        raise NumericError(
             "conditional source residual variance <= 0 at "
             f"t={_first_sample(s_jj <= 0, block)}"
         )
@@ -468,11 +432,11 @@ def _block_values(cov, w, k, j, block):
     z = w @ np.concatenate([sigma_k[..., None], cond], axis=-1)
     intrinsic = (z[..., 0].real ** 2 + z[..., 0].imag ** 2) / s_kk[..., None]
     if np.any(intrinsic <= 0):
-        raise DegenerateSpectrumError("intrinsic spectrum term <= 0 on the grid")
+        raise NumericError("intrinsic spectrum term <= 0 on the grid")
     # q = Re(w Sigma_{.|k} w^H), a real dot product over (re, im) parts
     q = np.einsum("...i,...i->...", z[..., 1:].view(float), w.view(float))
     if np.any(q < -1e-12 * (intrinsic + q)):
-        raise DegenerateSpectrumError("causal spectrum term < 0 beyond rounding")
+        raise NumericError("causal spectrum term < 0 beyond rounding")
     return np.swapaxes(np.log1p(np.maximum(q, 0.0) / intrinsic), 0, 1)
 
 
@@ -491,21 +455,30 @@ def pairwise_maps(
     so n channels and all pairs cost n + n*(n-1) equation fits instead of
     refitting per pair, all in one ROFR search.  The pairs are then
     evaluated together by one ``_pair_values`` call.
+
+    Signals whose largest |sample| reaches ``peak_bound`` of their length
+    are refused before any fit.
     """
     config = config or CgcConfig()
     channels = list(channels)
     repeated = sorted({c for c in channels if channels.count(c) > 1})
     if repeated:
-        raise InvalidConfigurationError(f"channels {channels} repeat {repeated}")
+        raise ConfigError(f"channels {channels} repeat {repeated}")
     every = {(s, k) for s in channels for k in channels if k != s}
     wanted = every if pairs is None else set(map(tuple, pairs))
     if not wanted <= every:
-        raise InvalidConfigurationError(
+        raise ConfigError(
             f"pairs {sorted(wanted - every)} must join two different channels "
             f"of {channels}"
         )
     freqs = config.freq_grid(sampling_rate)
     n = signals.shape[1]
+    peak, bound = np.abs(signals[channels]).max(), peak_bound(n)
+    if not peak < bound:  # NaN too
+        raise DataError(
+            f"largest |sample| {peak:.3g} is not below {bound:.3g}, where "
+            f"products of {n}-sample second moments overflow"
+        )
     time_axis = np.arange(1, n + 1, config.time_decimation)
     time_indices = time_axis - 1
     sinks = {src: [k for k in channels if (src, k) in wanted] for src in channels}
@@ -566,11 +539,11 @@ def significance_test(
     """
     config = config or CgcConfig()
     if n_surrogates < 1:
-        raise InvalidConfigurationError("n_surrogates must be >= 1")
+        raise ConfigError("n_surrogates must be >= 1")
     if not (0.0 < level < 1.0):
-        raise InvalidConfigurationError("level must lie in (0, 1)")
+        raise ConfigError("level must lie in (0, 1)")
     if level < 1.0 / (n_surrogates + 1):
-        raise LevelUnachievableError(
+        raise ConfigError(
             f"level {level} finer than 1/(n_surrogates+1) = "
             f"{1.0 / (n_surrogates + 1):.2e}"
         )

@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, Range, ShapeError, check_ranges, ranged
-
-
-class ArchitectureError(ConfigError):
-    """A setting out of range, or an input too short for the conv/pool stack."""
-
-
-class DegenerateLabelsError(DataError):
-    """A training fold contains fewer than two classes."""
+from .errors import ConfigError, DataError, Range, check_ranges, ranged
 
 
 # the paper's fixed optimizer, batch-norm and pooling constants
@@ -60,7 +52,7 @@ class ConvNetConfig:
         # the [10, 20] kernel range applies to the standard 90-row images;
         # toy configurations with other heights may use shorter kernels
         toy = {} if self.spatial_height == 90 else {"temporal_kernel": Range(2)}
-        check_ranges(self, ArchitectureError, **toy)
+        check_ranges(self, **toy)
 
     def block_filters(self, block: int) -> int:
         """Filter count of 1-based block index; doubles every block."""
@@ -74,13 +66,13 @@ def _time_lengths(config: ConvNetConfig, n_time: int) -> list[int]:
     for block in range(1, config.block_count + 1):
         t = t - config.temporal_kernel + 1
         if t < 1:
-            raise ArchitectureError(
+            raise ConfigError(
                 f"block {block}: temporal convolution needs "
                 f"{config.temporal_kernel} samples, have {t + config.temporal_kernel - 1}"
             )
         t = t // POOL_FACTOR
         if t < 1:
-            raise ArchitectureError(f"block {block}: pooling empties the signal")
+            raise ConfigError(f"block {block}: pooling empties the signal")
         lengths.append(t)
     return lengths
 
@@ -109,7 +101,7 @@ def build_convnet(config: ConvNetConfig, input_shape: tuple[int, int]) -> ConvNe
     """Initialize all tensors from a seeded fan-in-scaled uniform scheme."""
     height, n_time = input_shape
     if height != config.spatial_height:
-        raise ShapeError(
+        raise DataError(
             f"input height {height} != configured {config.spatial_height}"
         )
     lengths = _time_lengths(config, n_time)
@@ -217,12 +209,12 @@ def forward(
     if x.ndim == 2:
         x = x[None]
     if x.shape[1:] != model.input_shape:
-        raise ShapeError(
+        raise DataError(
             f"expected images of shape {model.input_shape}, got {x.shape[1:]}"
         )
     train = mode == "train"
     if train and cfg.dropout_rate > 0 and rng is None and dropout_masks is None:
-        raise ValueError("training forward pass needs an rng or fixed masks")
+        raise ConfigError("training forward pass needs an rng or fixed masks")
     cache: dict = {"masks": [], "x_in": x}
     h = np.matmul(model.params["spatial/W"], x)
     h = h + model.params["spatial/b"][None, :, None]
@@ -297,7 +289,7 @@ def loss_and_gradients(
         w = np.asarray(sample_weights, dtype=float)
         total = w.sum()
         if total <= 0:
-            raise ValueError("sample weights must have positive sum")
+            raise DataError("sample weights must have positive sum")
         w = w / total
     probs, cache = forward(
         model, images, mode="train", rng=rng, dropout_masks=dropout_masks,
@@ -397,7 +389,7 @@ def train(
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels)
     if len(set(labels.tolist())) < 2:
-        raise DegenerateLabelsError("training fold must contain both classes")
+        raise DataError("training fold must contain both classes")
     n = len(labels)
     if sample_weights is None:
         weights = np.full(n, 1.0 / n)

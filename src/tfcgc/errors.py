@@ -1,5 +1,5 @@
-"""The error bases the command line maps to exit codes (every exception of
-the package derives from exactly one), and the ranges settings declare."""
+"""The package's exception classes, one per exit code of the command line,
+and the ranges settings declare."""
 
 from __future__ import annotations
 
@@ -18,10 +18,6 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """A computation failed on valid input (exit 3)."""
-
-
-class ShapeError(DataError):
-    """Inputs do not have the expected dimensions."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,8 +50,8 @@ def ranged(default, bound: Range) -> dataclasses.Field:
     return dataclasses.field(default=default, metadata={"range": bound})
 
 
-def check_ranges(config, error=ConfigError, **overrides: Range) -> None:
-    """Raise ``error`` for the first field of dataclass ``config`` outside
+def check_ranges(config, **overrides: Range) -> None:
+    """Raise ConfigError for the first field of dataclass ``config`` outside
     its range (from ``overrides`` or the field's metadata); the message
     names the field, which the exception carries as ``key``."""
     for f in dataclasses.fields(config):
@@ -63,6 +59,6 @@ def check_ranges(config, error=ConfigError, **overrides: Range) -> None:
         value = getattr(config, f.name)
         if bound is not None and not bound.holds(value):
             each = " each" if isinstance(value, tuple) else ""
-            exc = error(f"{f.name} must be {bound}{each}, got {value!r}")
+            exc = ConfigError(f"{f.name} must be {bound}{each}, got {value!r}")
             exc.key = f.name
             raise exc

@@ -26,10 +26,6 @@ GRID_MAGIC = b"TFCGRID1"
 CHECKPOINT_MAGIC = b"TFCCKPT1"
 
 
-class FormatError(DataError):
-    """File contents do not match the declared format."""
-
-
 def atomic_write(path, data: bytes) -> None:
     """Write bytes to a temp file in the target directory, then rename."""
     path = str(path)
@@ -55,24 +51,24 @@ def _pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
 
 def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by ``_pack``: its header and its named arrays.
-    Any departure from that layout is a FormatError naming the file."""
+    Any departure from that layout is a DataError naming the file."""
     with open(str(path), "rb") as fh:
         data = fh.read()
     if data[: len(magic)] != magic:
-        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        raise DataError(f"{path}: bad magic, expected {magic!r}")
     off = len(magic) + 8
     if len(data) < off:
-        raise FormatError(f"{path}: {len(data)} bytes, too short for a {kind} header")
+        raise DataError(f"{path}: {len(data)} bytes, too short for a {kind} header")
     (hlen,) = struct.unpack_from("<Q", data, len(magic))
     if hlen > len(data) - off:
-        raise FormatError(f"{path}: {kind} header of {hlen} bytes runs past the file")
+        raise DataError(f"{path}: {kind} header of {hlen} bytes runs past the file")
     try:
         header = json.loads(data[off : off + hlen].decode())
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise FormatError(f"{path}: {kind} header is not JSON ({exc})") from exc
+        raise DataError(f"{path}: {kind} header is not JSON ({exc})") from exc
     entries = header.get("entries") if isinstance(header, dict) else None
     if not isinstance(entries, list):
-        raise FormatError(
+        raise DataError(
             f"{path}: {kind} header is not an object with a list of entries"
         )
     for entry in entries:
@@ -82,7 +78,7 @@ def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]
             and isinstance(entry.get("shape"), list)
             and all(type(d) is int and d >= 0 for d in entry["shape"])
         ):
-            raise FormatError(
+            raise DataError(
                 f"{path}: {kind} entry {entry!r} needs a name and a shape of "
                 "non-negative integers"
             )
@@ -90,7 +86,7 @@ def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]
     sizes = [8 * math.prod(entry["shape"]) for entry in entries]
     if len(data) - off != sum(sizes):
         problem = "truncated" if len(data) - off < sum(sizes) else "oversized"
-        raise FormatError(
+        raise DataError(
             f"{path}: {problem} {kind} payload, {len(data) - off} bytes where the "
             f"header declares {sum(sizes)}"
         )
@@ -153,12 +149,12 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     """Read back (config, tensors, extra) from a checkpoint file."""
     header, tensors = _unpack(CHECKPOINT_MAGIC, "checkpoint", path)
     if header.get("version") != 1:
-        raise FormatError(
+        raise DataError(
             f"{path}: unsupported checkpoint version {header.get('version')}"
         )
     config, extra = header.get("config"), header.get("extra", {})
     if not isinstance(config, dict) or not isinstance(extra, dict):
-        raise FormatError(f"{path}: checkpoint config and extra must be objects")
+        raise DataError(f"{path}: checkpoint config and extra must be objects")
     return config, tensors, extra
 
 
@@ -185,21 +181,21 @@ def load_convnet(path):
         config = convnet.ConvNetConfig(**config_block)
         model = convnet.build_convnet(config, tuple(extra["input_shape"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(
+        raise DataError(
             f"{path}: checkpoint does not build a network ({exc!r})"
         ) from exc
     for store, prefix in ((model.params, ""), (model.running, "running:")):
         for key, initial in store.items():
             name = prefix + key
             if name not in tensors:
-                raise FormatError(f"{path}: checkpoint has no tensor {name!r}")
+                raise DataError(f"{path}: checkpoint has no tensor {name!r}")
             if tensors[name].shape != initial.shape:
-                raise FormatError(
+                raise DataError(
                     f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                     f"the network needs {initial.shape}"
                 )
             if not np.all(np.isfinite(tensors[name])):
-                raise FormatError(f"{path}: tensor {name!r} holds NaN or infinity")
+                raise DataError(f"{path}: tensor {name!r} holds NaN or infinity")
             store[key] = tensors[name]
     model.history = extra.get("history", [])
     return model
@@ -244,29 +240,29 @@ def load_ensemble(manifest_path):
         with open(manifest_path, encoding="ascii") as fh:
             manifest = json.load(fh)
     except ValueError as exc:  # not JSON, or not ASCII
-        raise FormatError(f"{manifest_path}: not a JSON file ({exc})") from exc
+        raise DataError(f"{manifest_path}: not a JSON file ({exc})") from exc
     if (
         not isinstance(manifest, dict)
         or manifest.get("kind") != "ensemble"
         or manifest.get("version") != 1
     ):
-        raise FormatError(f"{manifest_path}: not a version-1 ensemble manifest")
+        raise DataError(f"{manifest_path}: not a version-1 ensemble manifest")
     try:
         entries = [(e["file"], e["weight"], e["weighted_error"]) for e in manifest["members"]]
         fields = {k: manifest[k] for k in ("best_joint", "validation_accuracy", "n_train", "n_val")}
     except KeyError as exc:
-        raise FormatError(f"{manifest_path}: ensemble manifest has no {exc} field") from exc
+        raise DataError(f"{manifest_path}: ensemble manifest has no {exc} field") from exc
     except TypeError as exc:
-        raise FormatError(f"{manifest_path}: malformed ensemble manifest ({exc})") from exc
+        raise DataError(f"{manifest_path}: malformed ensemble manifest ({exc})") from exc
     best = fields["best_joint"]
     if type(best) is not int or not 1 <= best <= len(entries):
-        raise FormatError(
+        raise DataError(
             f"{manifest_path}: best_joint must be an integer in "
             f"[1, {len(entries)}], the member count, got {best!r}"
         )
     for file, weight, _ in entries:
         if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
-            raise FormatError(
+            raise DataError(
                 f"{manifest_path}: member {file} weight must be a finite number, "
                 f"got {weight!r}"
             )
@@ -274,7 +270,7 @@ def load_ensemble(manifest_path):
     paths = [os.path.join(directory, str(file)) for file, _, _ in entries]
     for path in paths:
         if not os.path.isfile(path):
-            raise FormatError(f"{manifest_path}: no member checkpoint {path}")
+            raise DataError(f"{manifest_path}: no member checkpoint {path}")
     members = [
         BoostMember(load_convnet(path), weight, error)
         for path, (_, weight, error) in zip(paths, entries)

@@ -17,48 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
-from .errors import (
-    ConfigError,
-    DataError,
-    NumericError,
-    Range,
-    ShapeError,
-    check_ranges,
-    ranged,
-)
-
-__all__ = [
-    "RofrConfig",
-    "RofrResult",
-    "RegressionProblem",
-    "TvarxModel",
-    "expand_regressors",
-    "rofr_select",
-    "solve_parameters",
-    "reconstruct_coefficients",
-    "recursive_covariance",
-    "fit_equations",
-    "fit_tvarx",
-]
-
-
-class InsufficientDataError(DataError):
-    pass
-
-
-class EmptyModelError(NumericError):
-    pass
-
-
-class InvalidForgettingError(ConfigError):
-    pass
-
+from .errors import ConfigError, DataError, NumericError, Range, check_ranges, ranged
 
 #: the forgetting factors the recursive covariance accepts
 FORGETTING = Range(0, 1, "()")
 #: the largest m x m Gram buffer ``_search`` may reserve for m design columns
 MAX_GRAM_BYTES = 2**30
 #: ``_search`` screens out a candidate whose deflated squared norm is below this
+#: fraction of its own squared norm, so the screen does not depend on units
 ELIMINATION_THRESHOLD = 1e-12
 
 
@@ -91,9 +57,9 @@ class RegressionProblem:
 
     def __post_init__(self):
         if self.design_matrix.shape[0] != self.target.shape[0]:
-            raise ShapeError("design matrix and target row counts differ")
+            raise DataError("design matrix and target row counts differ")
         if self.target.shape[0] == 0:
-            raise InsufficientDataError("no usable samples")
+            raise DataError("no usable samples")
 
 
 @dataclass
@@ -132,7 +98,7 @@ def expand_regressors(
     ]
     psi = _design(signals, blocks, dictionary, start)
     if psi.shape[1] != dictionary.candidate_count:
-        raise ShapeError("candidate count mismatch while expanding regressors")
+        raise DataError("candidate count mismatch while expanding regressors")
     target = signals[target_index, start - 1 :]
     return RegressionProblem(psi, target, dictionary, start, signals.shape[1])
 
@@ -142,11 +108,11 @@ def _usable(signals, dictionaries) -> tuple[np.ndarray, int]:
     time every dictionary's lags leave usable."""
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
-        raise ShapeError("signals must be a (channels, samples) array")
+        raise DataError("signals must be a (channels, samples) array")
     max_lag = max(max(d.lags_per_variable) for d in dictionaries)
     n = signals.shape[1]
     if n <= max_lag:
-        raise InsufficientDataError(
+        raise DataError(
             f"need more than max-lag={max_lag} samples, got {n}"
         )
     return signals, max_lag + 1
@@ -155,7 +121,7 @@ def _usable(signals, dictionaries) -> tuple[np.ndarray, int]:
 def _variables(target_index, predictor_indices, dictionary) -> list[int]:
     variables = [target_index] + list(predictor_indices)
     if len(variables) != len(dictionary.lags_per_variable):
-        raise ShapeError(
+        raise DataError(
             f"dictionary declares {len(dictionary.lags_per_variable)} variables, "
             f"got target plus {len(variables) - 1} predictors"
         )
@@ -220,8 +186,9 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
 
     RERR denominators use the fixed X^T X normalization so that
     1 - sum(RERR) equals the error-to-signal ratio fed to PESR.  Candidates
-    whose orthogonalized squared norm falls below the elimination threshold
-    are screened out (including at step 1, which removes all-zero columns).
+    whose orthogonalized squared norm falls below ELIMINATION_THRESHOLD
+    times their own squared norm, or to 0, are screened out (so step 1
+    removes all-zero columns).
 
     The search runs in the correlation form of orthogonal least squares
     (Chen, Billings & Luo 1989) on inner products, never deflating a
@@ -242,7 +209,7 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
     columns (orders 3/4/5 share constants and linear functions).  Wherever
     a candidate's norm has fallen below ``_GRAM_GUARD * ||psi_j||^2``, it
     and <h_j, X> are recomputed from Psi and the chosen columns, so the
-    absolute screen judges the explicitly deflated value.
+    screen judges the explicitly deflated value.
     """
     count = len(equations)
     width = max(len(cols) for _, cols in equations)
@@ -262,16 +229,16 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
     xtx = np.array([float(t @ t) for t in targets])[target_of]
     h_sq = col_sq.copy()  # ||h_j||^2 of the deflated candidates
     h_x = np.stack([psi.T @ t for t in targets])[target_of[:, None], cols]  # <h_j, X>
-    active &= h_sq >= ELIMINATION_THRESHOLD
+    active &= (h_sq >= ELIMINATION_THRESHOLD * col_sq) & (h_sq > 0)
     for e in range(count):
         if xtx[e] <= 0:
-            raise EmptyModelError("target vector has zero energy")
+            raise NumericError("target vector has zero energy")
         if not active[e].any():
-            raise EmptyModelError("all candidates eliminated by the norm screen")
+            raise NumericError("all candidates eliminated by the norm screen")
     n_pesr = psi.shape[0]
     mu = config.pesr_mu
     if mu / n_pesr >= 1.0:
-        raise EmptyModelError("no candidate survived the search")
+        raise NumericError("no candidate survived the search")
     max_steps = np.minimum(config.max_terms, active.sum(axis=1))
 
     m = psi.shape[1]
@@ -321,7 +288,7 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
             h = h[:, s + 1 :]
             h_sq[e, sus] = np.einsum("ij,ij->j", h, h)
             h_x[e, sus] = h.T @ x[e]
-        active &= h_sq >= ELIMINATION_THRESHOLD
+        active &= (h_sq >= ELIMINATION_THRESHOLD * col_sq) & (h_sq > 0)
         rerr_sum += rerr[:, s]
         pesr[:, s] = (1.0 - rerr_sum) / (1.0 - mu * (s + 1) / n_pesr) ** 2
         if s:
@@ -416,16 +383,16 @@ def recursive_covariance(
     one sample at a time, rounding as that formula reads.
     """
     if not FORGETTING.holds(forgetting):
-        raise InvalidForgettingError(
+        raise ConfigError(
             f"forgetting factor must be {FORGETTING}, got {forgetting}"
         )
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if u1.shape != u2.shape or u1.ndim != 1:
-        raise ShapeError("series must be equal-length vectors")
+        raise DataError("series must be equal-length vectors")
     n = u1.shape[0]
     if not (1 <= init_window <= n):
-        raise ValueError("init_window must lie in [1, len(series)]")
+        raise ConfigError("init_window must lie in [1, len(series)]")
     prod = u1 * u2
     sigma = float(prod[:init_window].mean())
     forgetting = float(forgetting)
@@ -493,7 +460,7 @@ def fit_equations(signals: np.ndarray, equations, rofr: RofrConfig | None = None
     dictionaries = [d for _, _, d in equations]
     shared = {(d.orders, d.scale, max(d.lags_per_variable)) for d in dictionaries}
     if len(shared) > 1:
-        raise ShapeError(
+        raise DataError(
             "equations fitted together must share orders, scale and maximum lag"
         )
     signals, start = _usable(signals, dictionaries)

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 ELECTRODE_ORDER = ("Fz", "C3", "Cz", "C4", "Pz")
 
@@ -50,14 +50,6 @@ IMAGE_PAIRS = tuple(
 _DOWNSAMPLE_BLOCK = 5
 
 
-class InvalidCropError(DataError):
-    """Crop parameters inconsistent with the trial."""
-
-
-class IncompleteInputError(DataError, KeyError):
-    """A required directed causality map is missing."""
-
-
 @dataclass(frozen=True)
 class Crop:
     """One fixed-length window of a trial (1-based start sample)."""
@@ -73,7 +65,7 @@ class Crop:
         lo = self.start_sample - 1
         hi = lo + self.length_samples
         if hi > trial.shape[-1]:
-            raise InvalidCropError(
+            raise DataError(
                 f"crop [{self.start_sample}, {hi}] exceeds trial length "
                 f"{trial.shape[-1]}"
             )
@@ -90,9 +82,9 @@ class CausalityImage:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
-            raise ShapeError("image values must be a 2-d matrix")
+            raise DataError("image values must be a 2-d matrix")
         if not np.all(np.isfinite(vals)):
-            raise ShapeError("image values must be finite")
+            raise DataError("image values must be finite")
         object.__setattr__(self, "values", vals)
 
 
@@ -102,16 +94,16 @@ def crop_geometry(samples, sampling_rate, crop_seconds, stride_seconds, trial_id
     length_f = sampling_rate * crop_seconds
     stride_f = sampling_rate * stride_seconds
     if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
-        raise InvalidCropError(
+        raise DataError(
             f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
             f"span whole samples at {sampling_rate:g} Hz"
         )
     length = int(round(length_f))
     stride = int(round(stride_f))
     if length <= 0 or stride <= 0:
-        raise InvalidCropError("crop and stride must be positive")
+        raise DataError("crop and stride must be positive")
     if length > samples:
-        raise InvalidCropError(
+        raise DataError(
             f"trial {trial_id}: crop of {length} samples exceeds trial of {samples}"
         )
     return length, stride
@@ -149,17 +141,17 @@ def electrode_representation(
     arrays on identical grids.
     """
     if electrode not in _REPRESENTATIONS:
-        raise IncompleteInputError(f"unknown electrode {electrode!r}")
+        raise DataError(f"unknown electrode {electrode!r}")
     total = None
     for sign, source, sink in _REPRESENTATIONS[electrode]:
         if (source, sink) not in maps:
-            raise IncompleteInputError(f"missing map {source}->{sink}")
+            raise DataError(f"missing map {source}->{sink}")
         vals = maps[(source, sink)]
         if total is None:
             total = sign * vals
         else:
             if vals.shape != total.shape:
-                raise ShapeError(
+                raise DataError(
                     f"map {source}->{sink} has shape {vals.shape}, "
                     f"expected {total.shape}"
                 )
@@ -180,16 +172,16 @@ def assemble_image(
     """
     mats = [np.asarray(m, float) for m in representations]
     if len(mats) != len(electrode_order):
-        raise ShapeError(
+        raise DataError(
             f"expected {len(electrode_order)} representations, got {len(mats)}"
         )
     shape = mats[0].shape
     if any(m.ndim != 2 or m.shape != shape for m in mats):
-        raise ShapeError("electrode representations must share one (t, F) shape")
+        raise DataError("electrode representations must share one (t, F) shape")
     stacked = np.concatenate(mats, axis=1)
     t, wide = stacked.shape
     if wide % _DOWNSAMPLE_BLOCK != 0:
-        raise ShapeError(
+        raise DataError(
             f"stacked width {wide} not divisible by {_DOWNSAMPLE_BLOCK}"
         )
     pooled = stacked.reshape(t, wide // _DOWNSAMPLE_BLOCK, _DOWNSAMPLE_BLOCK)

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from . import boosting, bsplines, convnet, gridio
-from .causality import CgcConfig, InvalidRangeError, pairwise_maps
+from .causality import CgcConfig, pairwise_maps
 from .errors import ConfigError, DataError, Range, check_ranges
 from .identify import FORGETTING, MAX_GRAM_BYTES, RofrConfig
 from .images import (
@@ -38,10 +38,6 @@ from .images import (
 
 LABEL_CODES = {"left": 1, "right": -1}
 LABEL_NAMES = {code: name for name, code in LABEL_CODES.items()}
-
-
-class InstabilityError(ConfigError):
-    """A synthetic generator would be unstable at some time point."""
 
 
 @dataclass
@@ -127,7 +123,7 @@ class RunConfig:
             self.convnet_config()
         except ConfigError as exc:
             key = {f.name: f for f in dataclasses.fields(self)}[exc.key]
-            raise type(exc)(f"[{key.metadata['section']}] {exc}") from exc
+            raise ConfigError(f"[{key.metadata['section']}] {exc}") from exc
         # the search reserves an m x m Gram buffer for the m design columns
         bases = bsplines.basis_count(self.orders, self.scale)
         m = len(self.electrodes) * self.lags * bases
@@ -447,7 +443,7 @@ def _check_stability(spec: SynthSpec) -> None:
             companion = np.vstack([top, bottom])
             radius = np.max(np.abs(np.linalg.eigvals(companion)))
             if radius >= 1.0:
-                raise InstabilityError(
+                raise ConfigError(
                     f"generator spectral radius {radius:.4f} >= 1 "
                     f"(label {label}, coupling {'on' if coupled else 'off'})"
                 )
@@ -603,7 +599,7 @@ def check_frequency_grid(config: RunConfig, sampling_rate: float) -> None:
     """Reject data sampled too slowly for the causality grid, before imaging."""
     try:
         config.cgc_config().freq_grid(sampling_rate)
-    except InvalidRangeError as exc:
+    except DataError as exc:
         raise DataError(
             f"data sampled at {sampling_rate:g} Hz is too slow for the causality "
             f"grid: {exc}"
@@ -663,10 +659,11 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
     width = -(-crop // config.time_decimation)
     made = f"crops of {crop} samples, time_decimation {config.time_decimation}"
     if ensemble is None:
+        classifier = config.convnet_config()
         try:  # every convolution and pooling stage must leave a column
-            convnet._time_lengths(config.convnet_config(), width)
-        except convnet.ArchitectureError as exc:
-            raise convnet.ArchitectureError(
+            convnet._time_lengths(classifier, width)
+        except ConfigError as exc:
+            raise ConfigError(
                 f"images of {width} time columns ({made}) are too short for "
                 f"the classifier: {exc}"
             ) from exc
@@ -804,7 +801,7 @@ def gridsearch(
                         seed=seed,
                     )
                     convnet._time_lengths(cfg, images.shape[2])
-                except convnet.ArchitectureError:
+                except ConfigError:
                     continue
                 accs = []
                 for f in range(folds):

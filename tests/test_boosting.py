@@ -5,13 +5,13 @@ from tfcgc.boosting import (
     BoostEnsemble,
     BoostMember,
     EvalReport,
-    InvalidInputError,
     adaboost_train,
     ensemble_predict,
     evaluate,
     predict_trial,
 )
 from tfcgc.convnet import ConvNetConfig, train_val_split
+from tfcgc.errors import DataError
 
 
 class RuleStub:
@@ -119,7 +119,7 @@ class TestAdaboostTrace:
 
     def test_bad_first_learner_rejected(self):
         rules = [lambda v: -self.labels[self.values.index(int(v))]]
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="no usable base learner"):
             adaboost_train(
                 self.images, self.labels, chi=3, seed=0, val_fraction=0.0,
                 learner_factory=stub_factory(rules),
@@ -158,7 +158,7 @@ class TestEnsemblePredict:
 
     def test_prefix_bounds(self):
         ens = self.make_ensemble([(lambda v: 1, 1.0)])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="prefix 2 out of range"):
             ensemble_predict(ens, value_images([0.0]), prefix=2)
 
     def test_best_joint_tracks_max_prefix_accuracy(self):
@@ -195,7 +195,7 @@ class TestPredictTrial:
 
     def test_even_crop_count_rejected(self):
         ens = self.make_ensemble(lambda v: 1)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="crop count must be odd"):
             predict_trial(ens, np.zeros((4, 2, 3)))
 
 
@@ -233,9 +233,9 @@ class TestEvaluate:
         assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 1, 1)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="need equal-length, non-empty label lists"):
             evaluate([], [])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="need equal-length, non-empty label lists"):
             evaluate([1, -1], [1])
 
 

@@ -4,9 +4,8 @@ from scipy.integrate import quad
 
 from tfcgc.bsplines import (
     BSplineSpec,
-    InvalidOrderError,
-    InvalidSpecError,
-    OutOfRangeError,
+    ConfigError,
+    DataError,
     basis_eval,
     bspline_eval,
     build_dictionary,
@@ -72,7 +71,7 @@ class TestBsplineEval:
         assert np.all(vals[outside] == 0.0)
 
     def test_invalid_order(self):
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(ConfigError, match="B-spline order must be at least 1, got 0"):
             bspline_eval(0, 0.5)
 
 
@@ -97,15 +96,15 @@ class TestBasisEval:
         assert np.all(vals[(u > lo) & (u < hi)] > 0.0)
 
     def test_out_of_range_point(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DataError, match=r"evaluation point must lie in \[0, 1\]"):
             basis_eval(BSplineSpec(3, 3, 0), 1.5)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DataError, match=r"evaluation point must lie in \[0, 1\]"):
             basis_eval(BSplineSpec(3, 3, 0), -0.1)
 
     def test_invalid_shift(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError, match="shift 8 outside admissible range"):
             BSplineSpec(3, 3, 8)  # max shift is 2**3 - 1 = 7
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError, match="shift -4 outside admissible range"):
             BSplineSpec(3, 3, -4)
 
 
@@ -139,7 +138,9 @@ class TestBuildDictionary:
         assert build_dictionary({3, 4, 5}, 3, [3] * 4) is not d
 
     def test_empty_lags_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(
+            ConfigError, match=r"lags_per_variable must be at least 1, got \(\)"
+        ):
             build_dictionary({3}, 3, [])
 
     def test_basis_matrix_matches_candidates(self):

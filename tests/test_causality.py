@@ -3,16 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfcgc.causality import (
     CgcConfig,
-    ConditioningError,
-    DegenerateSpectrumError,
-    DegenerateVarianceError,
-    InvalidConfigurationError,
-    InvalidRangeError,
-    LevelUnachievableError,
+    ConfigError,
+    DataError,
     NormalizedSystem,
+    NumericError,
     _pair_values,
     combine_transfer,
     conditional_causality,
@@ -20,6 +19,7 @@ from tfcgc.causality import (
     normalize_full,
     normalize_restricted,
     pairwise_maps,
+    peak_bound,
     significance_test,
     spectral_matrices,
     tf_cgc_map,
@@ -168,7 +168,7 @@ class TestNormalizeRestricted:
     def test_degenerate_variance(self):
         cov = np.zeros((5, 2, 2))
         sys = make_fitted_stub(cov)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(NumericError, match="sink residual variance <= 0 at t=1"):
             normalize_restricted(sys)
 
 
@@ -222,7 +222,9 @@ class TestNormalizeFull:
         n = 5
         base = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         sys = make_fitted_stub(np.tile(base, (n, 1, 1)))
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(
+            NumericError, match="conditional source residual variance <= 0 at t=1"
+        ):
             normalize_full(sys)
 
 
@@ -259,7 +261,7 @@ class TestSpectralMatrices:
 
     def test_out_of_nyquist(self):
         norm = self.make_norm(np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1)))
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(DataError, match=r"frequencies must lie in \[0, f_s / 2\]"):
             spectral_matrices(norm, 100.0, np.array([60.0]))
 
 
@@ -321,11 +323,11 @@ class TestTfCgcMap:
     def test_invalid_pair(self, monkeypatch):
         monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
         sig = np.zeros((4, 100))
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ConfigError, match=re.escape("channels [1, 1, 2] repeat [1]")):
             tf_cgc_map(sig, 1, 1, [2], 250.0, CHEAP)
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ConfigError, match=re.escape("channels [0, 1, 1] repeat [1]")):
             tf_cgc_map(sig, 1, 0, [1], 250.0, CHEAP)
-        with pytest.raises(InvalidConfigurationError, match=re.escape("repeat [2]")):
+        with pytest.raises(ConfigError, match=re.escape("repeat [2]")):
             tf_cgc_map(sig, 1, 0, [2, 3, 2], 250.0, CHEAP)
 
     def test_is_pairwise_maps_of_one_pair(self):
@@ -433,14 +435,14 @@ class TestTfCgcMap:
     def test_pairwise_rejects_bad_pair(self, monkeypatch, pair):
         monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
         sig = np.random.default_rng(7).standard_normal((4, 300))
-        with pytest.raises(InvalidConfigurationError, match=re.escape(f"[{pair}]")):
+        with pytest.raises(ConfigError, match=re.escape(f"pairs [{pair}] must join")):
             pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [(0, 1), pair])
 
     def test_pairwise_rejects_repeated_channel(self, monkeypatch):
         monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
         sig = np.random.default_rng(7).standard_normal((4, 300))
         with pytest.raises(
-            InvalidConfigurationError, match=re.escape("channels [0, 1, 1] repeat [1]")
+            ConfigError, match=re.escape("channels [0, 1, 1] repeat [1]")
         ):
             pairwise_maps(sig, [0, 1, 1], 250.0, CHEAP)
 
@@ -484,7 +486,9 @@ class TestSignificance:
         rng = np.random.default_rng(10)
         sig = rng.standard_normal((3, 250))
         m = tf_cgc_map(sig, 1, 0, [2], 250.0, CHEAP)
-        with pytest.raises(LevelUnachievableError):
+        with pytest.raises(
+            ConfigError, match=r"level 1e-06 finer than 1/\(n_surrogates\+1\)"
+        ):
             significance_test(m, sig, CHEAP, n_surrogates=200, level=1e-6)
 
     def test_restricted_system_fitted_once(self, monkeypatch):
@@ -527,7 +531,7 @@ class TestSignificance:
         rng = np.random.default_rng(11)
         sig = rng.standard_normal((3, 250))
         m = tf_cgc_map(sig, 1, 0, [2], 250.0, CHEAP)
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ConfigError, match="n_surrogates must be >= 1"):
             significance_test(m, sig, CHEAP, n_surrogates=0)
 
 
@@ -547,9 +551,8 @@ class TestPairValues:
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
         lags = restricted.lag_matrices
-        with pytest.raises(ConditioningError) as info:
+        with pytest.raises(NumericError, match=r"ill-conditioned .* \(t=3, f=2\)"):
             _pair_values(full, [(1, [0], lags)], fs, freqs, np.arange(n))
-        assert (info.value.t, info.value.f) == (3, 2)
 
     def test_degenerate_conditional_source_variance(self):
         # source residual fully explained by the sink's: Sigma_jj|k = 0
@@ -558,7 +561,7 @@ class TestPairValues:
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([8.0, 10.0])
         lags = restricted.lag_matrices
-        with pytest.raises(DegenerateVarianceError, match="conditional source"):
+        with pytest.raises(NumericError, match="conditional source"):
             _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
 
     def test_indefinite_covariance_rejected(self):
@@ -575,8 +578,76 @@ class TestPairValues:
         restricted = make_fitted_stub(np.tile(np.eye(3), (n, 1, 1)), lag)
         freqs = np.array([8.0, 10.0])
         lags = restricted.lag_matrices[:, :, :1]
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(NumericError, match="causal spectrum term < 0 beyond rounding"):
             _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
+
+    @pytest.mark.parametrize("times, cell", [([3], "t=3, f=0"), (slice(None), "t=0, f=0")])
+    def test_nan_lag_names_its_first_cell(self, times, cell):
+        # a NaN lag makes its times' spectra, inverses and conditioning
+        # tests NaN: the first NaN cell is named, on a grid of only NaN too
+        n = 6
+        lag = np.zeros((n, 1, 2, 2))
+        lag[times, 0, 0, 1] = np.nan
+        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
+        lags = make_fitted_stub(np.ones((n, 1, 1))).lag_matrices
+        freqs = np.array([6.0, 8.0, 10.0, 12.0])
+        named = re.escape(f"coefficient matrix at grid point ({cell})")
+        with pytest.raises(NumericError, match=named):
+            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
+
+
+def band_passed_crop(seed, config):
+    """The imaging unit of the first crop of a band-passed synthetic trial."""
+    spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0)
+    trials = pipeline.bandpass(pipeline.synth_generate(spec, seed=seed), 6.0, 15.0)
+    units, *_ = pipeline._crop_units(trials, config)
+    return units[0]
+
+
+#: the default analysis (at every 5th time, to save time) and criterion 15's
+UNIT_CONFIGS = {
+    "default": pipeline.RunConfig(time_decimation=5),
+    "criterion-15": pipeline.RunConfig(orders=(3,), lags=2, time_decimation=10),
+}
+
+
+@pytest.fixture(scope="module", params=list(UNIT_CONFIGS))
+def crop_and_image(request):
+    # seed 29 gave the widest spread of the seeds measured
+    unit = band_passed_crop(29, UNIT_CONFIGS[request.param])
+    return unit, pipeline._crop_image_unit(unit)
+
+
+class TestUnits:
+    """An image does not depend on the data's units: c x images as x does,
+    within 1e-10 of the largest value, for c from 1e-9 to 1e70.  Over the
+    first crops of 12 trials (seeds 3, 11, 29, 41, 57 and 73) at both
+    configurations and c in {1e-9, 1e-6, 1e-3, 1e3, 1e35, 1e70}, the
+    difference was at most 4.4e-12 of the largest value."""
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @example(exponent=-9.0)
+    @example(exponent=-6.0)
+    @example(exponent=70.0)
+    @given(exponent=st.floats(-9.0, 70.0))
+    def test_scaled_crop_images_alike(self, crop_and_image, exponent):
+        (data, *rest), image = crop_and_image
+        scaled = pipeline._crop_image_unit((data * 10.0**exponent, *rest))
+        assert np.abs(scaled - image).max() <= 1e-10 * np.abs(image).max()
+
+    def test_peak_just_under_the_bound_images(self, crop_and_image):
+        (data, *rest), image = crop_and_image
+        c = (1 - 1e-9) * peak_bound(data.shape[1]) / np.abs(data).max()
+        scaled = pipeline._crop_image_unit((data * c, *rest))
+        assert np.abs(scaled - image).max() <= 1e-10 * np.abs(image).max()
+
+    @pytest.mark.parametrize("value", [1.0, np.inf, np.nan])
+    def test_peak_at_the_bound_refused_before_fitting(self, monkeypatch, value):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.random.default_rng(7).standard_normal((3, 300))
+        sig[1, 100] = value * peak_bound(300)
+        with pytest.raises(DataError, match=r"largest \|sample\| \S+ is not below 6.69e\+75"):
+            pairwise_maps(sig, [0, 1, 2], 250.0, CHEAP)
 
 
 def explicit_pair_oracle(full, restricted, source, sink, fs, freqs, times):
@@ -801,10 +872,9 @@ class TestBatchedPairs:
         full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
         restricted = make_fitted_stub(np.ones((n, 1, 1)))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
-        with pytest.raises(ConditioningError) as info:
+        with pytest.raises(NumericError, match=rf"ill-conditioned .* \(t={t_bad}, f=2\)"):
             _pair_values(
                 full, [(1, [0], restricted.lag_matrices)], fs, freqs, np.arange(n)
             )
-        assert (info.value.t, info.value.f) == (t_bad, 2)
         # the first two blocks passed
         assert [rows.shape[0] for rows, _ in kept] == [block, block]

@@ -389,6 +389,25 @@ class TestRunCommand:
         )
         assert "Traceback" not in err
 
+    def test_sample_past_the_magnitude_bound_names_trial_and_crop(
+        self, tmp_path, capsys
+    ):
+        ts = pipeline.synth_generate(
+            pipeline.SynthSpec(trials_per_class=1, trial_seconds=2.0), seed=0
+        )
+        ts.trials[1].data[1, 250] = 1e158  # finite, so the CSV loads
+        manifest = pipeline.save_trials(ts, tmp_path / "data")
+        cfg = write_cfg(tmp_path, CHEAP_CFG)
+        code = main(["run", "--config", cfg, "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert re.match(
+            r"data error: trial train_right_000, crop at sample 1: largest \|sample\| "
+            r"\S+ is not below 5.18e\+75, where products of 500-sample second "
+            r"moments overflow$",
+            err.strip(),
+        )
+
     def test_test_crop_failure_while_training_names_trial_and_crop(
         self, tmp_path, capsys
     ):
@@ -1070,7 +1089,7 @@ class TestMalformedCheckpoint:
             ),
             (
                 lambda config, tensors: config.update(block_count=0),
-                "checkpoint does not build a network (ArchitectureError("
+                "checkpoint does not build a network (ConfigError("
                 "'block_count must be in [1, 5], got 0'))",
             ),
             (

@@ -3,10 +3,9 @@ import pytest
 
 from tfcgc.convnet import (
     BN_EPSILON,
-    ArchitectureError,
+    ConfigError,
     ConvNetConfig,
-    DegenerateLabelsError,
-    ShapeError,
+    DataError,
     _temporal_conv,
     _temporal_conv_backward,
     _time_lengths,
@@ -82,7 +81,9 @@ class TestArchitecture:
 
     def test_infeasible_stack(self):
         cfg = ConvNetConfig(temporal_kernel=20, block_count=5)
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(
+            ConfigError, match="block 5: temporal convolution needs 20 samples, have 13"
+        ):
             build_convnet(cfg, (90, 500))
 
     def test_feasible_deep_stack(self):
@@ -91,14 +92,14 @@ class TestArchitecture:
         assert model.params["block5/W"].shape[0] == 160
 
     def test_invalid_config(self):
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ConfigError, match=r"temporal_kernel must be in \[10, 20\]"):
             ConvNetConfig(temporal_kernel=9)
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ConfigError, match=r"block_count must be in \[1, 5\]"):
             ConvNetConfig(block_count=0)
 
     def test_shape_mismatch_rejected(self):
         model = build_convnet(ConvNetConfig(block_count=1), (90, 500))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="expected images of shape"):
             forward(model, np.zeros((1, 90, 400)))
 
 
@@ -287,7 +288,7 @@ class TestTraining:
 
     def test_single_class_rejected(self):
         model = build_convnet(TINY, (4, 20))
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(DataError, match="training fold must contain both classes"):
             train(model, np.zeros((4, 4, 20)), np.array([1, 1, 1, 1]))
 
     def test_deterministic_history(self):

@@ -10,7 +10,6 @@ from tfcgc import convnet, pipeline
 from tfcgc.boosting import BoostEnsemble, BoostMember, adaboost_train, ensemble_predict
 from tfcgc.errors import DataError
 from tfcgc.gridio import (
-    FormatError,
     load_checkpoint,
     load_convnet,
     load_ensemble,
@@ -43,7 +42,7 @@ class TestGrid:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.grid"
         path.write_bytes(b"NOTAGRID" + b"\0" * 32)
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="junk.grid: bad magic"):
             read_grid(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -51,7 +50,7 @@ class TestGrid:
         write_grid(path, {"v": np.ones((4, 4))})
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(FormatError, match="truncated grid payload"):
+        with pytest.raises(DataError, match="truncated grid payload"):
             read_grid(path)
 
     def test_no_temp_leftovers(self, tmp_path):
@@ -100,24 +99,42 @@ def small_trial_manifest(path):
     os.replace(pipeline.save_trials(SMALL_TRIALS, os.path.dirname(path)), path)
 
 
-DAMAGED = pytest.mark.parametrize(
-    "write, load",
-    [
-        (small_grid, read_grid),
-        (small_checkpoint, load_convnet),
-        (small_ensemble, load_ensemble),
-        (small_trial_manifest, pipeline.load_trials),
-    ],
-    ids=["grid", "checkpoint", "ensemble-manifest", "trial-manifest"],
-)
+def small_trial_csv(path):
+    """A valid trial CSV, listed second in a trial manifest beside it, so a
+    trial whose header differs from the first is this one."""
+    manifest = pipeline.save_trials(SMALL_TRIALS, os.path.dirname(path))
+    os.replace(os.path.join(os.path.dirname(path), "train_right_000.csv"), path)
+    with open(manifest) as fh:
+        text = fh.read().replace("train_right_000.csv", os.path.basename(path))
+    with open(manifest, "w") as fh:
+        fh.write(text)
+
+
+#: 0.2 s crops, so that a 0.5 s trial holds some
+SHORT_CROPS = pipeline.RunConfig(crop_seconds=0.2, stride_seconds=0.2)
+
+
+def load_and_crop(path):
+    """Load, band-pass and crop the trials of the manifest beside ``path``."""
+    trials = pipeline.load_trials(os.path.join(os.path.dirname(path), "manifest.csv"))
+    pipeline._crop_units(pipeline.bandpass(trials, 6.0, 15.0), SHORT_CROPS)
+
+
+DAMAGED = [
+    pytest.param(small_grid, read_grid, id="grid"),
+    pytest.param(small_checkpoint, load_convnet, id="checkpoint"),
+    pytest.param(small_ensemble, load_ensemble, id="ensemble-manifest"),
+    pytest.param(small_trial_manifest, pipeline.load_trials, id="trial-manifest"),
+]
 
 
 class TestDamagedFile:
-    """Every truncation and every single-byte change of a small valid grid,
-    checkpoint, ensemble manifest or trial manifest either loads or raises a
-    DataError that names the file."""
+    """Every truncation of a small valid grid, checkpoint, ensemble manifest
+    or trial manifest, and random single-byte changes of these and of a
+    trial CSV, either load or raise a DataError that names the file (a
+    trial CSV by its path, or by its trial id once it has loaded)."""
 
-    @DAMAGED
+    @pytest.mark.parametrize("write, load", DAMAGED)
     def test_every_truncation(self, tmp_path, write, load):
         path = tmp_path / "cut"
         write(path)
@@ -132,7 +149,10 @@ class TestDamagedFile:
                 assert write is small_trial_manifest
                 assert b"\n" in data[length - 1 : length + 1]
 
-    @DAMAGED
+    @pytest.mark.parametrize(
+        "write, load",
+        DAMAGED + [pytest.param(small_trial_csv, load_and_crop, id="trial-csv")],
+    )
     @settings(
         max_examples=300,
         deadline=None,
@@ -148,7 +168,13 @@ class TestDamagedFile:
         try:
             load(path)
         except DataError as exc:
-            assert str(path) in str(exc)
+            assert names(exc, path)
+
+
+def names(exc, path):
+    """Whether a DataError names the file at ``path`` or, as a trial CSV's
+    trial id, its base name."""
+    return str(path) in str(exc) or f"trial {os.path.basename(path)}:" in str(exc)
 
 
 class TestCheckpoint:
@@ -166,7 +192,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {}, {"w": np.ones((3, 3))})
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="truncated checkpoint payload"):
+        with pytest.raises(DataError, match="truncated checkpoint payload"):
             load_checkpoint(path)
 
     def test_convnet_round_trip(self, tmp_path):
@@ -222,5 +248,5 @@ class TestCheckpoint:
         idx = bytes(data).find(b'"version": 1')
         data[idx : idx + len(b'"version": 1')] = b'"version": 9'
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="unsupported checkpoint version 9"):
             load_checkpoint(path)

@@ -6,11 +6,10 @@ from tfcgc.bsplines import BSplineSpec, basis_eval, build_dictionary
 from tfcgc.causality import _fit_models
 from tfcgc.identify import (
     ELIMINATION_THRESHOLD,
-    EmptyModelError,
-    InsufficientDataError,
-    InvalidForgettingError,
+    ConfigError,
+    DataError,
+    NumericError,
     RofrConfig,
-    ShapeError,
     expand_regressors,
     fit_equations,
     fit_tvarx,
@@ -51,14 +50,16 @@ def greedy_ofr_oracle(psi, x, n_terms):
 def explicit_rofr_oracle(psi, x, config):
     """ROFR with explicit deflation: every remaining candidate column is
     deflated against each new orthogonal direction and its squared norm
-    recomputed from the N rows, then screened.  Returns the candidates in
-    the order the search took them and the PESR argmin q."""
+    recomputed from the N rows, then screened against its undeflated
+    squared norm.  Returns the candidates in the order the search took them
+    and the PESR argmin q."""
     eps = ELIMINATION_THRESHOLD
     rho = config.regularization
     xtx = x @ x
     h = psi.copy()
     h_sq = np.einsum("ij,ij->j", h, h)
-    active = h_sq >= eps
+    col_sq = h_sq.copy()
+    active = h_sq > 0
     n = x.shape[0]
     mu = config.pesr_mu
     picks, rerrs, pesr = [], [], []
@@ -78,7 +79,7 @@ def explicit_rofr_oracle(psi, x, config):
         active[best] = False
         h[:, active] -= np.outer(hb, (hb @ h[:, active]) / hb_sq)
         h_sq[active] = np.einsum("ij,ij->j", h[:, active], h[:, active])
-        active &= h_sq >= eps
+        active &= (h_sq >= eps * col_sq) & (h_sq > 0)
         pesr.append((1.0 - sum(rerrs)) / (1.0 - mu * step / n) ** 2)
         rising = rising + 1 if len(pesr) >= 2 and pesr[-1] > pesr[-2] else 0
         if rising >= config.stop_patience:
@@ -137,7 +138,7 @@ class TestExpandRegressors:
 
     def test_insufficient_data(self):
         d = build_dictionary({3}, 2, [3, 3])
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="need more than max-lag=3 samples, got 1"):
             expand_regressors(np.ones((2, 1)), 0, [1], d)
 
     def test_basis_shared_read_only(self):
@@ -154,7 +155,7 @@ class TestExpandRegressors:
 
     def test_variable_count_mismatch(self):
         d = build_dictionary({3}, 2, [3, 3])
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="dictionary declares 2 variables"):
             expand_regressors(np.ones((3, 50)), 0, [1, 2], d)
 
 
@@ -266,7 +267,7 @@ class TestRofrSelect:
 
         d = build_dictionary({3}, 2, [1])
         prob = RegressionProblem(np.zeros((50, 5)), np.ones(50), d, 1, 50)
-        with pytest.raises(EmptyModelError):
+        with pytest.raises(NumericError, match="all candidates eliminated by the norm"):
             rofr_select(prob, RofrConfig())
 
     def test_argmax_invariant_to_denominator(self):
@@ -399,7 +400,7 @@ class TestLockstepSearch:
 
     def test_equations_must_share_samples(self):
         sig = np.random.default_rng(22).standard_normal((2, 100))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="must share orders, scale and maximum lag"):
             fit_equations(
                 sig,
                 [
@@ -497,7 +498,9 @@ class TestRecursiveCovariance:
         np.testing.assert_array_equal(sigma, [6.0])
 
     def test_invalid_forgetting(self):
-        with pytest.raises(InvalidForgettingError):
+        with pytest.raises(
+            ConfigError, match=r"forgetting factor must be in \(0, 1\), got 1.5"
+        ):
             recursive_covariance(np.ones(10), np.ones(10), 1.5, 2)
 
 

@@ -5,9 +5,7 @@ from tfcgc.images import (
     ELECTRODE_ORDER,
     CausalityImage,
     Crop,
-    IncompleteInputError,
-    InvalidCropError,
-    ShapeError,
+    DataError,
     assemble_image,
     crop_trial,
     electrode_representation,
@@ -70,11 +68,11 @@ class TestCropTrial:
         assert len(crops) == (1000 - 500) // 125 + 1 == 5
 
     def test_crop_longer_than_trial(self):
-        with pytest.raises(InvalidCropError):
+        with pytest.raises(DataError, match="crop of 500 samples exceeds trial of 400"):
             crop_trial(np.zeros((2, 400)), 250.0, 2.0, 0.5)
 
     def test_fractional_samples_rejected(self):
-        with pytest.raises(InvalidCropError):
+        with pytest.raises(DataError, match="must span whole samples at 250 Hz"):
             crop_trial(np.zeros((2, 1000)), 250.0, 2.0, 0.5001)
 
     def test_extract_window(self):
@@ -85,7 +83,7 @@ class TestCropTrial:
         np.testing.assert_array_equal(window, trial[:, 125:625])
 
     def test_extract_out_of_range(self):
-        with pytest.raises(InvalidCropError):
+        with pytest.raises(DataError, match=r"crop \[600, 1099\] exceeds trial length 1000"):
             Crop("t", 600, 500).extract(np.zeros((2, 1000)))
 
 
@@ -123,13 +121,13 @@ class TestElectrodeRepresentation:
     def test_missing_map(self):
         maps = full_map_set()
         del maps[("C3", "Fz")]
-        with pytest.raises(IncompleteInputError):
+        with pytest.raises(DataError, match="missing map C3->Fz"):
             electrode_representation(maps, "Fz")
 
     def test_grid_mismatch(self):
         maps = full_map_set()
         maps[("Fz", "C4")] = np.zeros((21, 90))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"map Fz->C4 has shape \(21, 90\)"):
             electrode_representation(maps, "Fz")
 
 
@@ -177,16 +175,16 @@ class TestAssembleImage:
         np.testing.assert_array_equal(img.values, assemble_image(reps).values)
 
     def test_wrong_count(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="expected 5 representations, got 4"):
             assemble_image([np.zeros((5, 90))] * 4)
 
     def test_shape_mismatch(self):
         reps = [np.zeros((5, 90))] * 4 + [np.zeros((6, 90))]
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="must share one"):
             assemble_image(reps)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="image values must be finite"):
             CausalityImage(np.array([[np.nan, 1.0]]))
 
 

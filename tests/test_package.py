@@ -6,12 +6,11 @@ import pytest
 
 import tfcgc
 
-tomllib = pytest.importorskip("tomllib")
-
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
 def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     with open(PYPROJECT, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert tfcgc.__version__ == project["version"]

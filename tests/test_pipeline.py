@@ -14,8 +14,8 @@ from tfcgc.images import (
     electrode_representation,
 )
 from tfcgc.pipeline import (
+    ConfigError,
     DataError,
-    InstabilityError,
     RunConfig,
     SynthSpec,
     TrialSet,
@@ -173,9 +173,9 @@ class TestSynthGenerate:
         assert not np.array_equal(a.trials[0].data, c.trials[0].data)
 
     def test_instability_rejected(self):
-        with pytest.raises(InstabilityError):
+        with pytest.raises(ConfigError, match="generator spectral radius"):
             synth_generate(SynthSpec(pole_radius=1.01))
-        with pytest.raises(InstabilityError):
+        with pytest.raises(ConfigError, match="generator spectral radius"):
             synth_generate(SynthSpec(pole_radius=1.0))
         # one-directional coupling is block-triangular: it cannot move the
         # eigenvalues, so even a huge strength stays stable
