@@ -21,8 +21,9 @@ from .errors import ConfigError, DataError, NumericError, Range, check_ranges, r
 
 #: the forgetting factors the recursive covariance accepts
 FORGETTING = Range(0, 1, "()")
-#: the largest m x m Gram buffer ``_search`` may reserve for m design columns
-MAX_GRAM_BYTES = 2**30
+#: the most design columns a run accepts; imaging one crop peaks at 123 MB RSS
+#: at m = 5,940 and 158 MB at m = 10,310, growing linearly in m
+MAX_COLUMNS = 11_585
 #: ``_search`` screens out a candidate whose deflated squared norm is below this
 #: fraction of its own squared norm, so the screen does not depend on units
 ELIMINATION_THRESHOLD = 1e-12
@@ -198,10 +199,10 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
     chosen q).  All equations step in lockstep on (equations, candidates)
     arrays: one argmax, one gather of the Gram rows G[b] = Psi^T psi_b of
     the columns b they pick, one update.  Each Gram row is one
-    matrix-vector product, made the first time any equation picks b and
-    shared from then on.  The full Psi^T Psi would hold M rows where a
-    crop's search uses 100 to 250, and OpenBLAS threads a matrix product
-    that large, which stalls inside the pipeline's forked worker pool.
+    matrix-vector product, made the first time any equation picks b, kept
+    as row ``row_of[b]`` of ``gram`` and shared from then on.  A crop picks
+    100 to 250 of the M columns.  Psi^T Psi is never formed: OpenBLAS
+    threads a matrix product that large, which stalls in the worker pool.
     An equation leaves the lockstep when its own search stops.
 
     Inner-product norms lose precision to cancellation, about
@@ -242,9 +243,10 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
     max_steps = np.minimum(config.max_terms, active.sum(axis=1))
 
     m = psi.shape[1]
-    gram = np.empty((m, m))  # row b filled the first time b is picked
-    filled = np.zeros(m, dtype=bool)
     steps = int(max_steps.max())
+    row_of = np.full(m, -1)  # the row of ``gram`` holding G[b], once b is picked
+    gram = np.empty((min(m, count * steps), m))  # one row per picked column
+    rows = 0
     corr = np.empty((count, steps, width))  # corr[e, s]: a_s of equation e
     picks = np.empty((count, steps), dtype=np.intp)
     q_sq = np.empty((count, steps))  # ||q_s||^2
@@ -261,18 +263,18 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
         np.divide(h_x**2, xtx[:, None] * (h_sq + rho[:, None]), out=scores, where=active)
         pick = np.argmax(scores, axis=1)
         best = cols[live, pick]
-        for b in np.unique(best[~filled[best]]):
+        for b in np.unique(best[row_of[best] < 0]):
             # only rows where psi_b is nonzero count: a B-spline spans a few
             # eighths of the series at scale 3
             nonzero = np.flatnonzero(psi[:, b])
             span = slice(nonzero[0], nonzero[-1] + 1)
-            gram[b] = psi[span].T @ psi[span, b]
-        filled[best] = True
+            gram[rows] = psi[span].T @ psi[span, b]
+            row_of[b], rows = rows, rows + 1
         picks[:, s] = pick
         q_sq[:, s] = h_sq[live, pick]
         q_x[:, s] = h_x[live, pick]
         rerr[:, s] = scores[live, pick]
-        a_s = gram[best[:, None], cols]
+        a_s = gram[row_of[best][:, None], cols]
         if s:
             back = corr[live, :s, pick] / q_sq[:, :s]
             a_s -= np.matmul(back[:, None, :], corr[:, :s])[:, 0]

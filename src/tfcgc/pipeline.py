@@ -26,7 +26,7 @@ import numpy as np
 from . import boosting, bsplines, convnet, gridio
 from .causality import CgcConfig, pairwise_maps
 from .errors import ConfigError, DataError, Range, check_ranges
-from .identify import FORGETTING, MAX_GRAM_BYTES, RofrConfig
+from .identify import FORGETTING, MAX_COLUMNS, RofrConfig
 from .images import (
     ELECTRODE_ORDER,
     IMAGE_PAIRS,
@@ -124,18 +124,11 @@ class RunConfig:
         except ConfigError as exc:
             key = {f.name: f for f in dataclasses.fields(self)}[exc.key]
             raise ConfigError(f"[{key.metadata['section']}] {exc}") from exc
-        # the search reserves an m x m Gram buffer for the m design columns
         bases = bsplines.basis_count(self.orders, self.scale)
-        m = len(self.electrodes) * self.lags * bases
-        if 8 * m * m > MAX_GRAM_BYTES:
-            size = (  # past 2**40 columns the figures overflow a float
-                f"{m:,} columns, whose Gram buffer needs {8 * m * m / 2**30:,.2f} GiB"
-                if m < 2**40
-                else "over 2**40 columns"
-            )
+        if len(self.electrodes) * self.lags * bases > MAX_COLUMNS:
             raise ConfigError(
-                f"[causality] scale {self.scale} makes a design of {size}, over "
-                f"the {MAX_GRAM_BYTES / 2**30:g} GiB bound"
+                f"[causality] scale {self.scale} makes a design of over "
+                f"{MAX_COLUMNS:,} columns"
             )
 
     def _component(self, table, **settings):
@@ -188,7 +181,6 @@ def load_trials(manifest_path) -> TrialSet:
     if len(lines) == 2:
         raise DataError(f"{manifest_path}: manifest lists no trials")
     trials = []
-    channel_names = None
     listed = {}  # real path of each trial file -> its manifest line
     ids = {}  # each trial id -> its manifest line
     for lineno, line in lines[2:]:
@@ -221,10 +213,13 @@ def load_trials(manifest_path) -> TrialSet:
                 f"already used at line {first}"
             )
         data, names = _load_trial_csv(path)
-        if channel_names is None:
-            channel_names = names
+        if not trials:
+            channel_names, first_path = names, path
         elif names != channel_names:
-            raise DataError(f"{path}: channel header differs from first trial")
+            raise DataError(
+                f"{path}: channel header {','.join(names)} differs from "
+                f"{first_path}'s {','.join(channel_names)}"
+            )
         trials.append(Trial(data, LABEL_CODES[label], trial_id, split))
     return TrialSet(trials, channel_names, fs)
 
@@ -424,8 +419,8 @@ class SynthSpec:
         return {(src, dst): (self.coupling, self.window)}
 
 
-def _check_stability(spec: SynthSpec) -> None:
-    """Reject generators whose companion matrix leaves the unit disc."""
+def _ar_coefficients(spec: SynthSpec) -> tuple[float, float]:
+    """Each channel's AR(2) (a1, a2); refuses an unstable companion matrix."""
     n_ch = len(spec.channel_names)
     omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
     a1 = 2 * spec.pole_radius * np.cos(omega)
@@ -447,6 +442,7 @@ def _check_stability(spec: SynthSpec) -> None:
                     f"generator spectral radius {radius:.4f} >= 1 "
                     f"(label {label}, coupling {'on' if coupled else 'off'})"
                 )
+    return a1, a2
 
 
 def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
@@ -457,13 +453,10 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     state that one time loop advances; each class couples its own block of
     trials inside the window.
     """
-    _check_stability(spec)
+    a1, a2 = _ar_coefficients(spec)
     n = int(round(spec.sampling_rate * spec.trial_seconds))
     n_ch = len(spec.channel_names)
     index = {name: i for i, name in enumerate(spec.channel_names)}
-    omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
-    a1 = 2 * spec.pole_radius * np.cos(omega)
-    a2 = -spec.pole_radius**2
     per_class = spec.trials_per_class
     if spec.split == "test" and spec.test_trials_per_class is not None:
         per_class = spec.test_trials_per_class

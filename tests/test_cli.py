@@ -1,6 +1,7 @@
 import collections
 import configparser
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import pathlib
@@ -20,6 +21,7 @@ from tfcgc.cli import (
     build_run_config,
     main,
 )
+from tfcgc.errors import ConfigError
 from tfcgc.images import ELECTRODE_ORDER
 
 CHEAP_CFG = """
@@ -844,14 +846,8 @@ class TestRejectedBeforeImaging:
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {grid}: no {missing!r} array"
 
-    @pytest.mark.parametrize(
-        "scale, size",
-        [
-            (12, "184,500 columns, whose Gram buffer needs 253.62 GiB"),
-            (100000, "over 2**40 columns"),
-        ],
-    )
-    def test_oversized_design(self, tmp_path, capsys, monkeypatch, scale, size):
+    @pytest.mark.parametrize("scale", [8, 12, 100000])
+    def test_oversized_design(self, tmp_path, capsys, monkeypatch, scale):
         def no_reading(*args, **kwargs):
             raise AssertionError("trials read")
 
@@ -866,10 +862,30 @@ class TestRejectedBeforeImaging:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.strip() == (
-            f"error: [causality] scale {scale} makes a design of {size}, "
-            "over the 1 GiB bound"
+            f"error: [causality] scale {scale} makes a design of over 11,585 columns"
         )
         assert peak < 2**20
+
+    def test_design_bound_by_columns(self):
+        """A run accepts a design of m = electrodes x lags x sum over orders
+        s of (2**scale + s) columns exactly while m <= 11,585."""
+        orders = [
+            subset
+            for size in (1, 2, 3)
+            for subset in itertools.combinations((3, 4, 5), size)
+        ]
+        verdicts = set()
+        for scale, lags, subset in itertools.product(range(10), (1, 2, 3), orders):
+            m = 5 * lags * sum(2**scale + s for s in subset)
+            try:
+                pipeline.RunConfig(scale=scale, lags=lags, orders=subset)
+                accepted = True
+            except ConfigError as exc:
+                assert "design of over 11,585 columns" in str(exc)
+                accepted = False
+            assert accepted == (m <= 11_585), (scale, lags, subset, m)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 class TestShortTrial:
@@ -1162,6 +1178,19 @@ class TestMalformedText:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.strip() == f"data error: {trial}:3: byte 0xb5 is not ASCII"
+
+    def test_first_trial_header_differs(self, tmp_path, capsys):
+        """A damaged header in the first trial file, the one the others are
+        checked against, is reported with both files and both headers."""
+        manifest, first = self.saved(tmp_path)
+        first.write_text(first.read_text().replace("Fz,", "Fx,", 1))
+        code = main(["image", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.strip() == (
+            f"data error: {first.parent / 'train_right_000.csv'}: channel header "
+            f"Fz,C3,Cz,C4,Pz differs from {first}'s Fx,C3,Cz,C4,Pz"
+        )
 
     @pytest.mark.parametrize(
         "text, problem",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,22 @@ class TestLockstepSearch:
         for (slot, lag, spec), c in zip(rest.selected_terms, rest.expansion_coefficients):
             fitted += c * sig[rest.variables[slot], 2 - lag : 400 - lag] * basis_eval(spec, u)
         np.testing.assert_allclose(x - fitted, rest.residuals[2:], atol=1e-10)
+
+    def test_memory_linear_in_columns(self, crop):
+        """The search keeps only the Gram rows it picks: on a 500-sample crop
+        at scale 7 (m = 5,940 columns) its traced peak stays under half of
+        an m x m buffer."""
+        d = build_dictionary((3, 4, 5), 7, [3] * 5)
+        equations = [(c, [p for p in range(5) if p != c], d) for c in range(5)]
+        m = d.candidate_count
+        assert m == 5940
+        tracemalloc.start()
+        try:
+            fit_equations(crop, equations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m / 2
 
     def test_equations_must_share_samples(self):
         sig = np.random.default_rng(22).standard_normal((2, 100))
