@@ -51,7 +51,8 @@ def _pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
 
 def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by ``_pack``: its header and its named arrays.
-    Any departure from that layout is a DataError naming the file."""
+    Any departure from that layout, or a version other than 1, is a
+    DataError naming the file."""
     with open(str(path), "rb") as fh:
         data = fh.read()
     if data[: len(magic)] != magic:
@@ -90,6 +91,8 @@ def _unpack(magic: bytes, kind: str, path) -> tuple[dict, dict[str, np.ndarray]]
             f"{path}: {problem} {kind} payload, {len(data) - off} bytes where the "
             f"header declares {sum(sizes)}"
         )
+    if header.get("version") != 1:
+        raise DataError(f"{path}: unsupported {kind} version {header.get('version')}")
     arrays = {}
     for entry, size in zip(entries, sizes):
         arr = np.frombuffer(data, dtype="<f8", count=size // 8, offset=off)
@@ -148,10 +151,6 @@ def save_checkpoint(path, config, tensors: dict[str, np.ndarray], extra=None) ->
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     """Read back (config, tensors, extra) from a checkpoint file."""
     header, tensors = _unpack(CHECKPOINT_MAGIC, "checkpoint", path)
-    if header.get("version") != 1:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {header.get('version')}"
-        )
     config, extra = header.get("config"), header.get("extra", {})
     if not isinstance(config, dict) or not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint config and extra must be objects")

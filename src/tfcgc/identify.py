@@ -27,6 +27,9 @@ MAX_COLUMNS = 11_585
 #: ``_search`` screens out a candidate whose deflated squared norm is below this
 #: fraction of its own squared norm, so the screen does not depend on units
 ELIMINATION_THRESHOLD = 1e-12
+#: the PESR penalty: a model of q terms divides its error-to-signal ratio by
+#: (1 - PESR_MU * q / usable samples)^2
+PESR_MU = 8.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class RofrConfig:
     """
 
     regularization: float | None = ranged(None, Range(0))
-    pesr_mu: float = ranged(8.0, Range(5, 10))
     max_terms: int = ranged(40, Range(1))
     # PESR must rise this many consecutive steps before the search stops;
     # the reported model size is the global argmin over executed steps.
@@ -90,18 +92,41 @@ def expand_regressors(
     Column (v, k, basis) at 1-based time t holds
     ``signal_v(t - k) * basis(t / N)``.
     """
-    signals, start = _usable(signals, [dictionary])
-    variables = _variables(target_index, predictor_indices, dictionary)
-    blocks = [
-        (v, k)
-        for v, max_lag_v in zip(variables, dictionary.lags_per_variable)
-        for k in range(1, max_lag_v + 1)
-    ]
-    psi = _design(signals, blocks, dictionary, start)
-    if psi.shape[1] != dictionary.candidate_count:
-        raise DataError("candidate count mismatch while expanding regressors")
-    target = signals[target_index, start - 1 :]
-    return RegressionProblem(psi, target, dictionary, start, signals.shape[1])
+    psi, targets, [(_, columns)], start = _expand(
+        signals, [(target_index, predictor_indices, dictionary)]
+    )
+    n = start - 1 + psi.shape[0]
+    return RegressionProblem(psi[:, columns], targets[0], dictionary, start, n)
+
+
+def _expand(signals, equations):
+    """The expansion half of ``fit_equations``: (Psi, targets, layout,
+    start).  Psi has one block of columns per (channel, lag) any equation
+    uses, in order of first use; ``targets`` holds the usable samples of
+    each distinct target channel; ``layout`` gives each equation's target
+    row and its columns of Psi in dictionary order; ``start`` is the first
+    usable 1-based time."""
+    dictionaries = [d for _, _, d in equations]
+    shared = {(d.orders, d.scale, max(d.lags_per_variable)) for d in dictionaries}
+    if len(shared) > 1:
+        raise DataError(
+            "equations fitted together must share orders, scale and maximum lag"
+        )
+    signals, start = _usable(signals, dictionaries)
+    blocks: dict[tuple[int, int], int] = {}  # (channel, lag) -> block, first use
+    targets: dict[int, int] = {}  # channel -> target row
+    layout = []
+    for target, predictors, d in equations:
+        variables = _variables(target, predictors, d)
+        block = [
+            blocks.setdefault((c, k), len(blocks))
+            for c, max_lag in zip(variables, d.lags_per_variable)
+            for k in range(1, max_lag + 1)
+        ]
+        columns = np.add.outer(np.array(block) * d.bases_per_term, np.arange(d.bases_per_term))
+        layout.append((targets.setdefault(target, len(targets)), columns.ravel()))
+    psi = _design(signals, blocks, dictionaries[0], start)
+    return psi, signals[list(targets), start - 1 :], layout, start
 
 
 def _usable(signals, dictionaries) -> tuple[np.ndarray, int]:
@@ -237,7 +262,7 @@ def _search(psi: np.ndarray, targets: np.ndarray, equations, config: RofrConfig)
         if not active[e].any():
             raise NumericError("all candidates eliminated by the norm screen")
     n_pesr = psi.shape[0]
-    mu = config.pesr_mu
+    mu = PESR_MU
     if mu / n_pesr >= 1.0:
         raise NumericError("no candidate survived the search")
     max_steps = np.minimum(config.max_terms, active.sum(axis=1))
@@ -459,28 +484,9 @@ def fit_equations(signals: np.ndarray, equations, rofr: RofrConfig | None = None
     any equation uses, built once.  Returns one TvarxModel per equation.
     """
     rofr = rofr or RofrConfig()
-    dictionaries = [d for _, _, d in equations]
-    shared = {(d.orders, d.scale, max(d.lags_per_variable)) for d in dictionaries}
-    if len(shared) > 1:
-        raise DataError(
-            "equations fitted together must share orders, scale and maximum lag"
-        )
-    signals, start = _usable(signals, dictionaries)
-    blocks: dict[tuple[int, int], int] = {}  # (channel, lag) -> block, first use
-    targets: dict[int, int] = {}  # channel -> target row
-    layout = []
-    for target, predictors, d in equations:
-        variables = _variables(target, predictors, d)
-        block = [
-            blocks.setdefault((c, k), len(blocks))
-            for c, max_lag in zip(variables, d.lags_per_variable)
-            for k in range(1, max_lag + 1)
-        ]
-        columns = np.add.outer(np.array(block) * d.bases_per_term, np.arange(d.bases_per_term))
-        layout.append((targets.setdefault(target, len(targets)), columns.ravel()))
-    psi = _design(signals, blocks, dictionaries[0], start)
-    results = _search(psi, signals[list(targets), start - 1 :], layout, rofr)
-    n = signals.shape[1]
+    psi, targets, layout, start = _expand(signals, equations)
+    results = _search(psi, targets, layout, rofr)
+    n = start - 1 + psi.shape[0]
     models = []
     for (target, predictors, d), result in zip(equations, results):
         residuals = np.zeros(n)  # zero before start_sample

@@ -545,7 +545,11 @@ def _imaging(trial_sets, config: RunConfig):
         # imported here, so a single-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(config.threads)
+        # only the workers keep freed memory: the parent trains, and a
+        # forked worker would inherit whatever heap the parent kept
+        pool = ProcessPoolExecutor(config.threads, initializer=_keep_freed_memory)
+    else:
+        _keep_freed_memory()
     try:
         images = (pool.map if pool else map)(_crop_image_unit, units)
         yield (
@@ -555,6 +559,30 @@ def _imaging(trial_sets, config: RunConfig):
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
+
+
+#: glibc's ``mallopt`` parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc serve arrays up to 8 MB from the heap and keep up to
+    16 MB of freed heap, so that every crop of an imaging process reuses the
+    pages the last crop touched instead of faulting in fresh zeroed ones
+    (about 2,450 faults a full-scale crop, 1,000 a criterion-15 crop).
+    8 MB covers a full-scale crop's largest array, its (14, 500, 90) map
+    values.  A full-scale crop needs more than 8 MB kept; keeping 32 MB,
+    or serving arrays up to 32 MB from the heap, let a scale-7 crop peak
+    10% higher.  Does nothing where libc has no ``mallopt``."""
+    import ctypes  # numpy has loaded it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 def _crop_units(trial_set: TrialSet, config: RunConfig):

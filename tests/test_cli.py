@@ -1043,11 +1043,16 @@ class TestMalformedGrid:
                 grid_bytes(LABELS_ONLY, bytes(24)),
                 "oversized grid payload, 24 bytes where the header declares 16",
             ),
+            (
+                grid_bytes({**LABELS_ONLY, "version": 2}, bytes(16)),
+                "unsupported grid version 2",
+            ),
         ],
         ids=[
             "magic-only", "bad-magic", "header-past-end", "header-not-utf8",
             "header-not-json", "header-not-object", "no-entries", "entry-no-name",
             "entry-no-shape", "negative-dimension", "short-payload", "long-payload",
+            "version-2",
         ],
     )
     def test_exits_2_naming_the_file(self, tmp_path, capsys, content, problem):

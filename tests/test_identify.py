@@ -8,6 +8,7 @@ from tfcgc.bsplines import BSplineSpec, basis_eval, build_dictionary
 from tfcgc.causality import _fit_models
 from tfcgc.identify import (
     ELIMINATION_THRESHOLD,
+    PESR_MU,
     ConfigError,
     DataError,
     NumericError,
@@ -63,7 +64,7 @@ def explicit_rofr_oracle(psi, x, config):
     col_sq = h_sq.copy()
     active = h_sq > 0
     n = x.shape[0]
-    mu = config.pesr_mu
+    mu = PESR_MU
     picks, rerrs, pesr = [], [], []
     r = x.copy()
     rising = 0

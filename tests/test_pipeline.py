@@ -1,4 +1,7 @@
+import ctypes
 import multiprocessing
+import os
+import subprocess
 import sys
 import time
 import zlib
@@ -264,6 +267,33 @@ class TestSynthReference:
         assert got.sampling_rate == spec.sampling_rate
 
 
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+#: images one 4 s trial (5 crops) twice on one process, at criterion-15
+#: settings; prints whether the images repeat and the second call's minor
+#: page faults per crop
+REIMAGE_PROBE = """
+import resource
+import numpy as np
+from tfcgc import pipeline
+
+spec = pipeline.SynthSpec(trials_per_class=1, trial_seconds=4.0)
+data = pipeline.bandpass(pipeline.synth_generate(spec, seed=5), 6.0, 15.0)
+trial = pipeline.TrialSet(data.trials[:1], data.channel_names, data.sampling_rate)
+config = pipeline.RunConfig(orders=(3,), lags=2, time_decimation=10, threads=1)
+first = pipeline.trial_images(trial, config)[0]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = pipeline.trial_images(trial, config)[0]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(np.array_equal(first, second), (after - before) / len(second))
+"""
+
+
 class TestTrialImages:
     def test_images_from_synth(self):
         ts = tiny_synth(trials_per_class=1, seconds=2.0)
@@ -281,6 +311,29 @@ class TestTrialImages:
         )
         with pytest.raises(DataError, match="missing"):
             trial_images(ts, CHEAP_RUN)
+
+    @pytest.mark.skipif(not has_mallopt(), reason="libc has no mallopt")
+    def test_later_crops_reuse_freed_memory(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", REIMAGE_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        same, faults_per_crop = done.stdout.split()
+        assert same == "True"
+        # each crop faulted in about 1,000 fresh pages when glibc gave
+        # freed arrays back to the system
+        assert float(faults_per_crop) < 100
+
+    def test_keep_freed_memory_without_mallopt(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        for cdll in (no_libc, lambda name: object()):  # object() has no mallopt
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            assert pipeline._keep_freed_memory() is None
 
 
 def all_pairs_image(crop, electrodes, config):
