@@ -46,14 +46,11 @@ def _member_predict(model, images) -> np.ndarray:
     return convnet.predict(model, images)
 
 
-def ensemble_predict(
-    ensemble: BoostEnsemble, images: np.ndarray, prefix: int | None = None
-) -> np.ndarray:
-    """Sign of the weighted member vote over the best (or given) prefix."""
-    if prefix is None:
-        prefix = ensemble.best_joint
+def ensemble_predict(ensemble: BoostEnsemble, images: np.ndarray) -> np.ndarray:
+    """Sign of the weighted member vote over the best prefix, ``best_joint``."""
+    prefix = ensemble.best_joint
     if prefix < 1 or prefix > len(ensemble.members):
-        raise DataError(f"prefix {prefix} out of range")
+        raise DataError(f"best prefix {prefix} out of range")
     score = np.zeros(np.asarray(images).shape[0])
     for member in ensemble.members[:prefix]:
         score += member.weight * _member_predict(member.model, images)

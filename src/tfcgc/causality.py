@@ -26,9 +26,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bsplines import build_dictionary
-from .errors import ConfigError, DataError, NumericError
-from .identify import RofrConfig, TvarxModel, fit_equations, recursive_covariance
+from .bsplines import LAGS, ORDERS, SCALES, build_dictionary
+from .errors import ConfigError, DataError, NumericError, Range, check_ranges, ranged
+from .identify import (
+    FORGETTING, RofrConfig, TvarxModel, fit_equations, recursive_covariance
+)
 
 #: the paper's analysis band in Hz: the grid runs from FREQ_LO to below FREQ_HI
 FREQ_LO = 6.0
@@ -37,16 +39,20 @@ FREQ_HI = 15.0
 
 @dataclass(frozen=True)
 class CgcConfig:
-    """Identification and grid settings for one causality map."""
+    """Identification and grid settings for one causality map; a setting
+    outside its range is refused when the config is built."""
 
-    orders: tuple[int, ...] = (3, 4, 5)
-    scale: int = 3
-    lags: int = 3
+    orders: tuple[int, ...] = ranged((3, 4, 5), ORDERS)
+    scale: int = ranged(3, SCALES)
+    lags: int = ranged(3, LAGS)
     rofr: RofrConfig = field(default_factory=RofrConfig)
-    forgetting: float = 0.02
-    init_window: int = 50
+    forgetting: float = ranged(0.02, FORGETTING)
+    init_window: int = ranged(50, Range(1))
     freq_step: float = 0.1
-    time_decimation: int = 1
+    time_decimation: int = ranged(1, Range(1))
+
+    def __post_init__(self):
+        check_ranges(self)
 
     def freq_grid(self, sampling_rate: float) -> np.ndarray:
         if self.freq_step <= 0:
@@ -141,9 +147,10 @@ def _apply_zero_lag(system: FittedSystem, zero_lag: np.ndarray):
     return NormalizedSystem(zero_lag, lag, cov)
 
 
-def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
-    """Zero-lag transform C(t): removes Z-block correlation with the sink."""
-    cov = system.residual_covariance
+def _sink_decorrelation(cov: np.ndarray) -> np.ndarray:
+    """The (N, n, n) zero-lag transform that removes every other residual's
+    correlation with the sink's (channel 0) in the (N, n, n) ``cov``: C(t)
+    of the restricted system, D1(t) of the full one."""
     n, n_vars, _ = cov.shape
     sigma_xx = cov[:, 0, 0]
     if np.any(sigma_xx <= 0):
@@ -151,7 +158,12 @@ def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
         raise NumericError(f"sink residual variance <= 0 at t={t_bad}")
     c = np.tile(np.eye(n_vars), (n, 1, 1))
     c[:, 1:, 0] = -cov[:, 1:, 0] / sigma_xx[:, None]
-    return _apply_zero_lag(system, c)
+    return c
+
+
+def normalize_restricted(system: FittedSystem) -> NormalizedSystem:
+    """Zero-lag transform C(t): removes Z-block correlation with the sink."""
+    return _apply_zero_lag(system, _sink_decorrelation(system.residual_covariance))
 
 
 def normalize_full(system: FittedSystem) -> NormalizedSystem:
@@ -164,11 +176,7 @@ def normalize_full(system: FittedSystem) -> NormalizedSystem:
     cov = system.residual_covariance
     n, n_vars, _ = cov.shape
     sigma_xx = cov[:, 0, 0]
-    if np.any(sigma_xx <= 0):
-        t_bad = int(np.argmax(sigma_xx <= 0)) + 1
-        raise NumericError(f"sink residual variance <= 0 at t={t_bad}")
-    d1 = np.tile(np.eye(n_vars), (n, 1, 1))
-    d1[:, 1:, 0] = -cov[:, 1:, 0] / sigma_xx[:, None]
+    d1 = _sink_decorrelation(cov)
     # conditional (given X) covariances of (Y, Z)
     syy = cov[:, 1, 1] - cov[:, 1, 0] * cov[:, 0, 1] / sigma_xx
     if np.any(syy <= 0):

@@ -94,6 +94,13 @@ def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out = args.out or "synth_data"
     spec = pipeline.SynthSpec(**_read_config_file(args.config)[pipeline.SynthSpec])
+    samples = int(round(spec.sampling_rate * spec.trial_seconds))
+    if samples <= pipeline.BANDPASS_PAD:  # no other command could read them
+        raise ConfigError(
+            f"[synth] trial_seconds {spec.trial_seconds:g} at sampling_rate "
+            f"{spec.sampling_rate:g} makes trials of {samples} samples, the "
+            f"band-pass needs at least {pipeline.BANDPASS_PAD + 1}"
+        )
     sets = [
         pipeline.synth_generate(dataclasses.replace(spec, split=split), seed=seed + i)
         for i, split in enumerate(("train", "test"))

@@ -43,7 +43,7 @@ class ConvNetConfig:
     block_count: int = ranged(2, Range(1, 5))
     spatial_height: int = 90
     dropout_rate: float = ranged(0.5, Range(0, 1, "[)"))
-    batch_size: int = 16
+    batch_size: int = ranged(16, Range(1))
     max_epochs: int = 200
     early_stop_patience: int = 50
     seed: int = 0
@@ -377,7 +377,6 @@ def train(
     labels: np.ndarray,
     sample_weights: np.ndarray | None = None,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
-    seed: int | None = None,
 ) -> ConvNetModel:
     """Mini-batch training with early stopping on validation accuracy.
 
@@ -397,7 +396,7 @@ def train(
         weights = np.asarray(sample_weights, dtype=float)
         weights = weights / weights.sum()
     work = model.clone()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     adam = AdamState(work.params)
     best = work.clone()
     best_score = -np.inf

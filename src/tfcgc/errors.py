@@ -23,8 +23,8 @@ class NumericError(RuntimeError):
 @dataclasses.dataclass(frozen=True)
 class Range:
     """Bounds a setting must lie within; ``(`` or ``)`` in ``ends`` excludes
-    that end. A tuple must be non-empty with every item in range, and None
-    (a computed default) is always in range."""
+    that end, and a value in range is finite. A tuple must be non-empty with
+    every item in range, and None (a computed default) is always in range."""
 
     low: float = -math.inf
     high: float = math.inf
@@ -37,11 +37,14 @@ class Range:
             return bool(value) and all(map(self.holds, value))
         above = self.low < value if self.ends[0] == "(" else self.low <= value
         below = value < self.high if self.ends[1] == ")" else value <= self.high
-        return above and below
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return above and below and finite
 
     def __str__(self) -> str:
         if self.high < math.inf:
             return f"in {self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+        if self.low == -math.inf:
+            return "finite"
         return f"{'greater than' if self.ends[0] == '(' else 'at least'} {self.low:g}"
 
 

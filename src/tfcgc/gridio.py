@@ -128,11 +128,7 @@ def read_grid(path) -> tuple[dict[str, np.ndarray], dict, dict]:
 
 
 def save_checkpoint(path, config, tensors: dict[str, np.ndarray], extra=None) -> None:
-    """Versioned model checkpoint: config block plus named tensors."""
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        config_block = dataclasses.asdict(config)
-    else:
-        config_block = dict(config or {})
+    """Versioned model checkpoint: config block (a dict) plus named tensors."""
     names = sorted(tensors)
     entries = [
         {"name": n, "shape": list(np.asarray(tensors[n]).shape)} for n in names
@@ -140,7 +136,7 @@ def save_checkpoint(path, config, tensors: dict[str, np.ndarray], extra=None) ->
     header = {
         "kind": "checkpoint",
         "version": 1,
-        "config": config_block,
+        "config": config,
         "entries": entries,
         "extra": extra or {},
     }
@@ -163,7 +159,7 @@ def save_convnet(path, model) -> None:
     tensors.update({f"running:{k}": v for k, v in model.running.items()})
     save_checkpoint(
         path,
-        model.config,
+        dataclasses.asdict(model.config),
         tensors,
         extra={"input_shape": list(model.input_shape), "history": model.history},
     )

@@ -158,18 +158,18 @@ def _design(signals, blocks, dictionary, start: int) -> np.ndarray:
     """Columns ``signal_c(t - k) * basis(t / N)``, t = start..N, one block
     of ``bases_per_term`` columns per (channel c, lag k) of ``blocks``."""
     n = signals.shape[1]
-    basis = _sampled_basis(dictionary.orders, dictionary.scale, start, n)
+    basis = _sampled_basis(dictionary.orders, dictionary.scale, n)[start - 1 :]
     return np.hstack([signals[c, start - 1 - k : n - k, None] * basis for c, k in blocks])
 
 
 @lru_cache(maxsize=8)
-def _sampled_basis(orders, scale: int, start: int, n: int) -> np.ndarray:
-    """Per-term basis values at u = t/N, t = start..N, shape (usable, bases).
+def _sampled_basis(orders, scale: int, n: int) -> np.ndarray:
+    """Per-term basis values at u = t/N, t = 1..N, shape (N, bases).
 
     Every equation fitted on one series length shares this matrix (25 per
     full-scale crop), so it is built once and returned read-only.
     """
-    u = np.arange(start, n + 1) / n
+    u = np.arange(1, n + 1) / n
     basis = build_dictionary(orders, scale, [1]).basis_matrix(u)
     basis.flags.writeable = False
     return basis
@@ -438,7 +438,6 @@ class TvarxModel:
     predictor_indices: list[int]
     dictionary: MultiwaveletDictionary
     rofr: RofrResult
-    config: RofrConfig
     n_samples: int
     start_sample: int
     selected_terms: list[tuple[int, int, BSplineSpec]]  # (variable slot, lag, basis)
@@ -460,7 +459,7 @@ def reconstruct_coefficients(model: TvarxModel) -> dict:
     """
     n = model.n_samples
     dictionary = model.dictionary
-    basis = _sampled_basis(dictionary.orders, dictionary.scale, 1, n)
+    basis = _sampled_basis(dictionary.orders, dictionary.scale, n)
     bases = dictionary.bases_per_term
     series: dict[tuple[int, int], np.ndarray] = {}
     for (slot, lag, _), index, coeff in zip(
@@ -496,7 +495,6 @@ def fit_equations(signals: np.ndarray, equations, rofr: RofrConfig | None = None
             predictor_indices=list(predictors),
             dictionary=d,
             rofr=result,
-            config=rofr,
             n_samples=n,
             start_sample=start,
             selected_terms=[d.candidates[i] for i in result.selected_indices],

@@ -26,12 +26,11 @@ import numpy as np
 from . import boosting, bsplines, convnet, gridio
 from .causality import CgcConfig, pairwise_maps
 from .errors import ConfigError, DataError, Range, check_ranges
-from .identify import FORGETTING, MAX_COLUMNS, RofrConfig
+from .identify import MAX_COLUMNS, RofrConfig
 from .images import (
     ELECTRODE_ORDER,
     IMAGE_PAIRS,
     assemble_image,
-    crop_geometry,
     crop_trial,
     electrode_representation,
 )
@@ -84,8 +83,8 @@ def _key(default, section, parse, bound=None, keys=None):
 class RunConfig:
     """Everything a full run needs, with full-scale analysis defaults. Each
     field is a setting of the config file (``_key``); a component config
-    built from the run (``RofrConfig``, ``ConvNetConfig``) checks the ranges
-    of the settings it owns."""
+    built from the run (``RofrConfig``, ``CgcConfig``, ``ConvNetConfig``)
+    checks the ranges of the settings it owns."""
 
     manifest: str | None = _key(None, "data", str)
     band: tuple[float, float] = _key(
@@ -94,19 +93,17 @@ class RunConfig:
     electrodes: tuple[str, ...] = _key(ELECTRODE_ORDER, "data", _tuple_of(str))
     crop_seconds: float = _key(2.0, "data", float)
     stride_seconds: float = _key(0.5, "data", float)
-    orders: tuple[int, ...] = _key(
-        (3, 4, 5), "causality", _tuple_of(int), bsplines.ORDERS
-    )
-    scale: int = _key(3, "causality", int, bsplines.SCALES)
-    lags: int = _key(3, "causality", int, bsplines.LAGS)
-    forgetting: float = _key(0.02, "causality", float, FORGETTING)
-    init_window: int = _key(50, "causality", int, Range(1))
+    orders: tuple[int, ...] = _key((3, 4, 5), "causality", _tuple_of(int))
+    scale: int = _key(3, "causality", int)
+    lags: int = _key(3, "causality", int)
+    forgetting: float = _key(0.02, "causality", float)
+    init_window: int = _key(50, "causality", int)
     regularization: float | None = _key(None, "causality", float)
-    time_decimation: int = _key(1, "causality", int, Range(1))
+    time_decimation: int = _key(1, "causality", int)
     temporal_kernel: int = _key(15, "classifier", int)
     first_block_filters: int = _key(10, "classifier", int)
     block_count: int = _key(2, "classifier", int)
-    batch_size: int = _key(16, "classifier", int, Range(1))
+    batch_size: int = _key(16, "classifier", int)
     max_epochs: int = _key(60, "classifier", int, Range(1))
     early_stop_patience: int = _key(15, "classifier", int)
     chi: int = _key(5, "classifier", int, boosting.ROUNDS)
@@ -396,53 +393,46 @@ class SynthSpec:
     The "left" class couples C4 into C3 inside the window; the "right"
     class couples C3 into C4. Every channel carries a resonant AR(2)
     rhythm near ``oscillation_freq`` so the coupling lives inside the
-    analysis band.
+    analysis band. Building a spec refuses a setting outside its range.
     """
 
     channel_names: tuple[str, ...] = ELECTRODE_ORDER
-    sampling_rate: float = _key(250.0, "synth", float)
-    trial_seconds: float = _key(4.0, "synth", float)
-    trials_per_class: int = _key(30, "synth", int)
+    sampling_rate: float = _key(250.0, "synth", float, Range(0, ends="(]"))
+    trial_seconds: float = _key(4.0, "synth", float, Range(0, ends="(]"))
+    trials_per_class: int = _key(30, "synth", int, Range(1))
     # a test split's count; None: trials_per_class
-    test_trials_per_class: int | None = _key(None, "synth", int)
-    coupling: float = _key(0.5, "synth", float)
+    test_trials_per_class: int | None = _key(None, "synth", int, Range(0))
+    coupling: float = _key(0.5, "synth", float, Range())
     window: tuple[float, float] = _key(
         (0.25, 0.75), "synth", float, keys=("window_low", "window_high")
     )
-    oscillation_freq: float = _key(10.0, "synth", float)
+    oscillation_freq: float = _key(10.0, "synth", float, Range(0))
     pole_radius: float = _key(0.9, "synth", float)
-    noise_scale: float = _key(1.0, "synth", float)
+    noise_scale: float = _key(1.0, "synth", float, Range(0, ends="(]"))
     split: str = "train"
+
+    def __post_init__(self):
+        try:
+            check_ranges(self)
+        except ConfigError as exc:
+            raise ConfigError(f"[synth] {exc}") from exc
+        low, high = self.window
+        if not 0 <= low < high <= 1:  # NaN too
+            raise ConfigError(
+                "[synth] window_low and window_high must satisfy 0 <= low < high "
+                f"<= 1, got {low!r} and {high!r}"
+            )
+        # a one-way coupling is nilpotent, so the coupled generator's
+        # eigenvalues are each channel's AR(2) poles, of modulus |pole_radius|
+        if not abs(self.pole_radius) < 1:
+            raise ConfigError(
+                f"[synth] pole_radius must be in (-1, 1), got {self.pole_radius!r}: "
+                "it is the generator spectral radius"
+            )
 
     def schedules(self, label: int) -> dict:
         src, dst = ("C4", "C3") if label == 1 else ("C3", "C4")
-        return {(src, dst): (self.coupling, self.window)}
-
-
-def _ar_coefficients(spec: SynthSpec) -> tuple[float, float]:
-    """Each channel's AR(2) (a1, a2); refuses an unstable companion matrix."""
-    n_ch = len(spec.channel_names)
-    omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
-    a1 = 2 * spec.pole_radius * np.cos(omega)
-    a2 = -spec.pole_radius**2
-    index = {name: i for i, name in enumerate(spec.channel_names)}
-    for label in (1, -1):
-        for coupled in (False, True):
-            lag1 = np.diag(np.full(n_ch, a1))
-            lag2 = np.diag(np.full(n_ch, a2))
-            if coupled:
-                for (src, dst), (strength, _) in spec.schedules(label).items():
-                    lag1[index[dst], index[src]] = strength
-            top = np.hstack([lag1, lag2])
-            bottom = np.hstack([np.eye(n_ch), np.zeros((n_ch, n_ch))])
-            companion = np.vstack([top, bottom])
-            radius = np.max(np.abs(np.linalg.eigvals(companion)))
-            if radius >= 1.0:
-                raise ConfigError(
-                    f"generator spectral radius {radius:.4f} >= 1 "
-                    f"(label {label}, coupling {'on' if coupled else 'off'})"
-                )
-    return a1, a2
+        return {(src, dst): self.coupling}
 
 
 def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
@@ -453,7 +443,8 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     state that one time loop advances; each class couples its own block of
     trials inside the window.
     """
-    a1, a2 = _ar_coefficients(spec)
+    omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
+    a1, a2 = 2 * spec.pole_radius * np.cos(omega), -spec.pole_radius**2
     n = int(round(spec.sampling_rate * spec.trial_seconds))
     n_ch = len(spec.channel_names)
     index = {name: i for i, name in enumerate(spec.channel_names)}
@@ -476,7 +467,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     couplings = [
         (slice(c * per_class, (c + 1) * per_class), index[src], index[dst], strength)
         for c, label in enumerate(labels)
-        for (src, dst), (strength, _) in spec.schedules(label).items()
+        for (src, dst), strength in spec.schedules(label).items()
     ]
     lagged = np.empty(x.shape[1:])
     for t in range(2, n):
@@ -665,14 +656,12 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
         raise DataError("no test trials in manifest")
     fs = filtered.sampling_rate
     for trial in test_set.trials:
-        n = trial.data.shape[-1]
-        length, stride = crop_geometry(
-            n, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
+        crops = crop_trial(
+            trial.data, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
         )
-        count = (n - length) // stride + 1
-        if count % 2 == 0:
+        if len(crops) % 2 == 0:
             raise DataError(
-                f"trial {trial.trial_id}: {count} crops, but majority voting "
+                f"trial {trial.trial_id}: {len(crops)} crops, but majority voting "
                 "needs an odd crop count"
             )
     # an image has one column per grid time of a crop
@@ -805,8 +794,7 @@ def gridsearch(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_of = np.empty(n, int)
-    for pos, idx in enumerate(order):
-        fold_of[idx] = pos % folds
+    fold_of[order] = np.arange(n) % folds
     results = []
     for tau in kernels:
         for p1 in filter_counts:

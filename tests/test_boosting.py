@@ -153,13 +153,15 @@ class TestEnsemblePredict:
         )
         pred = ensemble_predict(ens, value_images([0.0]))
         assert pred[0] == -1
-        pred1 = ensemble_predict(ens, value_images([0.0]), prefix=1)
+        ens.best_joint = 1
+        pred1 = ensemble_predict(ens, value_images([0.0]))
         assert pred1[0] == 1
 
     def test_prefix_bounds(self):
         ens = self.make_ensemble([(lambda v: 1, 1.0)])
+        ens.best_joint = 2
         with pytest.raises(DataError, match="prefix 2 out of range"):
-            ensemble_predict(ens, value_images([0.0]), prefix=2)
+            ensemble_predict(ens, value_images([0.0]))
 
     def test_best_joint_tracks_max_prefix_accuracy(self):
         # validation fold behaviour with real stubs through adaboost_train

@@ -320,6 +320,20 @@ class TestTfCgcMap:
         assert m.freq_axis[0] == 6.0
         assert m.freq_axis[-1] == pytest.approx(14.9)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"time_decimation": 0}, "time_decimation must be at least 1, got 0"),
+            ({"init_window": 0}, "init_window must be at least 1, got 0"),
+            ({"forgetting": 2.0}, "forgetting must be in (0, 1), got 2.0"),
+        ],
+    )
+    def test_bad_setting_refused_before_fitting(self, monkeypatch, settings, message):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.random.default_rng(0).standard_normal((3, 200))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pairwise_maps(sig, range(3), 250.0, replace(CHEAP, **settings))
+
     def test_invalid_pair(self, monkeypatch):
         monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
         sig = np.zeros((4, 100))

@@ -161,6 +161,51 @@ class TestSynthCommand:
         tb = (tmp_path / "b" / "train_left_000.csv").read_bytes()
         assert ta == tb
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (
+                "pole_radius = nan",
+                "[synth] pole_radius must be in (-1, 1), got nan: it is the "
+                "generator spectral radius",
+            ),
+            (
+                "oscillation_freq = nan",
+                "[synth] oscillation_freq must be at least 0, got nan",
+            ),
+            ("coupling = nan", "[synth] coupling must be finite, got nan"),
+            (
+                "trials_per_class = -2",
+                "[synth] trials_per_class must be at least 1, got -2",
+            ),
+            (
+                "sampling_rate = 0",
+                "[synth] sampling_rate must be greater than 0, got 0.0",
+            ),
+            ("noise_scale = nan", "[synth] noise_scale must be greater than 0, got nan"),
+            (
+                "trials_per_class = 0",
+                "[synth] trials_per_class must be at least 1, got 0",
+            ),
+            (
+                "trial_seconds = 0.001",
+                "[synth] trial_seconds 0.001 at sampling_rate 250 makes trials of 0 "
+                "samples, the band-pass needs at least 28",
+            ),
+            (
+                "window_low = 0.9",
+                "[synth] window_low and window_high must satisfy 0 <= low < high "
+                "<= 1, got 0.9 and 0.75",
+            ),
+        ],
+    )
+    def test_bad_setting_refused_before_writing(self, tmp_path, capsys, setting, message):
+        cfg = write_cfg(tmp_path, f"[synth]\n{setting}\n")
+        out = tmp_path / "fixture"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
 
 class TestCausalityCommand:
     def test_map_serialization(self, tmp_path, capsys):
@@ -616,7 +661,12 @@ class TestConfigRanges:
         run_keys = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
         ranged = {
             f.name
-            for table in (pipeline.RunConfig, convnet.ConvNetConfig, identify.RofrConfig)
+            for table in (
+                pipeline.RunConfig,
+                causality.CgcConfig,
+                convnet.ConvNetConfig,
+                identify.RofrConfig,
+            )
             for f in dataclasses.fields(table)
             if f.metadata.get("range") is not None
         }

@@ -97,6 +97,10 @@ class TestArchitecture:
         with pytest.raises(ConfigError, match=r"block_count must be in \[1, 5\]"):
             ConvNetConfig(block_count=0)
 
+    def test_batch_size_refused_when_built(self):
+        with pytest.raises(ConfigError, match="batch_size must be at least 1, got 0"):
+            ConvNetConfig(batch_size=0)
+
     def test_shape_mismatch_rejected(self):
         model = build_convnet(ConvNetConfig(block_count=1), (90, 500))
         with pytest.raises(DataError, match="expected images of shape"):

@@ -147,13 +147,13 @@ class TestExpandRegressors:
     def test_basis_shared_read_only(self):
         d = build_dictionary({3, 4, 5}, 3, [3, 3])
         sig = np.random.default_rng(3).standard_normal((2, 120))
-        basis = _sampled_basis(d.orders, d.scale, 4, 120)
-        assert _sampled_basis(d.orders, d.scale, 4, 120) is basis
+        basis = _sampled_basis(d.orders, d.scale, 120)
+        assert _sampled_basis(d.orders, d.scale, 120) is basis
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
         prob = expand_regressors(sig, 0, [1], d)
         np.testing.assert_array_equal(
-            prob.design_matrix[:, : d.bases_per_term], sig[0, 2:-1, None] * basis
+            prob.design_matrix[:, : d.bases_per_term], sig[0, 2:-1, None] * basis[3:]
         )
 
     def test_variable_count_mismatch(self):

@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfcgc import boosting, causality, pipeline
 from tfcgc.images import (
@@ -184,6 +186,36 @@ class TestSynthGenerate:
         # eigenvalues, so even a huge strength stays stable
         synth_generate(SynthSpec(trials_per_class=1, trial_seconds=0.1, coupling=5.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radius=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+        omega=st.floats(allow_nan=False, allow_infinity=False),
+        strength=st.floats(-1e6, 1e6),
+        label=st.sampled_from([1, -1]),
+    )
+    def test_coupled_radius_is_pole_radius(self, radius, omega, strength, label):
+        """The coupled companion matrix has the uncoupled characteristic
+        polynomial (z^2 - a1 z - a2)^5, so every eigenvalue has modulus
+        |pole_radius|, the one bound ``SynthSpec`` checks.  Near omega = 0 or
+        pi the matrix is nearly defective, and LAPACK's eigenvalues carry
+        rounding of order (eps (1 + |coupling|))^(1/4)."""
+        spec = SynthSpec(pole_radius=radius, coupling=strength)
+        n_ch = len(spec.channel_names)
+        index = {name: i for i, name in enumerate(spec.channel_names)}
+        a1, a2 = 2 * radius * np.cos(omega), -(radius**2)
+        lag1 = np.diag(np.full(n_ch, a1))
+        for (src, dst), value in spec.schedules(label).items():
+            lag1[index[dst], index[src]] = value
+        companion = np.block(
+            [[lag1, a2 * np.eye(n_ch)], [np.eye(n_ch), np.zeros((n_ch, n_ch))]]
+        )
+        eps = np.finfo(float).eps
+        z = 2 * np.exp(2j * np.pi * np.arange(2 * n_ch + 1) / (2 * n_ch + 1))
+        det = np.linalg.det(z[:, None, None] * np.eye(2 * n_ch) - companion)
+        np.testing.assert_allclose(det, (z**2 - a1 * z - a2) ** n_ch, rtol=np.sqrt(eps))
+        moduli = np.abs(np.linalg.eigvals(companion))
+        assert np.abs(moduli - abs(radius)).max() <= 4 * (eps * (1 + abs(strength))) ** 0.25
+
     def test_trial_shapes_and_labels(self):
         ts = tiny_synth()
         assert len(ts) == 4
@@ -218,7 +250,7 @@ def reference_synth(spec, seed):
             for t in range(2, n):
                 x[:, t] = a1 * x[:, t - 1] + a2 * x[:, t - 2] + e[:, t]
                 if lo <= t < hi:
-                    for (src, dst), (strength, _) in schedules.items():
+                    for (src, dst), strength in schedules.items():
                         x[index[dst], t] += strength * x[index[src], t - 1]
             trials.append((x, label, trial_id, spec.split))
     return trials
