@@ -55,6 +55,10 @@ class CgcConfig:
         check_ranges(self)
 
     def freq_grid(self, sampling_rate: float) -> np.ndarray:
+        if not 0 < sampling_rate < np.inf:  # NaN too
+            raise DataError(
+                f"sampling rate must be finite and positive, got {sampling_rate:g}"
+            )
         if self.freq_step <= 0:
             raise DataError("frequency step must be positive")
         n_bins = int(round((FREQ_HI - FREQ_LO) / self.freq_step))
@@ -63,7 +67,8 @@ class CgcConfig:
         grid = FREQ_LO + self.freq_step * np.arange(n_bins)
         if grid[-1] > sampling_rate / 2:
             raise DataError(
-                f"grid reaches {grid[-1]:g} Hz, beyond Nyquist {sampling_rate / 2:g} Hz"
+                f"data sampled at {sampling_rate:g} Hz is too slow for the causality "
+                f"grid: grid reaches {grid[-1]:g} Hz, beyond Nyquist {sampling_rate / 2:g} Hz"
             )
         return grid
 

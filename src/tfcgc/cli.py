@@ -92,9 +92,17 @@ def build_run_config(args) -> pipeline.RunConfig:
 
 def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
     out = args.out or "synth_data"
     spec = pipeline.SynthSpec(**_read_config_file(args.config)[pipeline.SynthSpec])
-    samples = int(round(spec.sampling_rate * spec.trial_seconds))
+    samples = spec.sampling_rate * spec.trial_seconds
+    if not np.isfinite(samples):
+        raise ConfigError(
+            f"[synth] trial_seconds {spec.trial_seconds:g} at sampling_rate "
+            f"{spec.sampling_rate:g} makes trials of {samples:g} samples"
+        )
+    samples = round(samples)
     if samples <= pipeline.BANDPASS_PAD:  # no other command could read them
         raise ConfigError(
             f"[synth] trial_seconds {spec.trial_seconds:g} at sampling_rate "
@@ -116,7 +124,9 @@ def _cmd_causality(args) -> int:
     config = build_run_config(args)
     if args.source == args.sink:
         raise ConfigError(f"--source and --sink must differ, both are {args.sink}")
-    pipeline.check_frequency_grid(config, args.fs)
+    if not 0 < args.fs < np.inf:  # NaN too
+        raise ConfigError(f"--fs must be finite and positive, got {args.fs:g}")
+    config.cgc_config().freq_grid(args.fs)
     data, names = pipeline._load_trial_csv(args.trial)
     electrodes = list(config.electrodes)
     missing = [e for e in electrodes if e not in names]
@@ -150,8 +160,8 @@ def _cmd_causality(args) -> int:
 
 def _band_passed(config, split=None) -> pipeline.TrialSet:
     """The manifest's trials (of ``split`` only, if given), band-passed."""
-    filtered = pipeline.bandpass(pipeline.load_trials(config.manifest), *config.band)
-    return filtered.subset(split) if split else filtered
+    trials = pipeline.load_trials(config.manifest)
+    return pipeline.bandpass(trials.subset(split) if split else trials, *config.band)
 
 
 def _cmd_image(args) -> int:

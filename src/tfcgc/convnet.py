@@ -45,7 +45,7 @@ class ConvNetConfig:
     dropout_rate: float = ranged(0.5, Range(0, 1, "[)"))
     batch_size: int = ranged(16, Range(1))
     max_epochs: int = 200
-    early_stop_patience: int = 50
+    early_stop_patience: int = ranged(50, Range(0))
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .gridio import atomic_write
 
 ELECTRODE_ORDER = ("Fz", "C3", "Cz", "C4", "Pz")
 
@@ -88,27 +89,6 @@ class CausalityImage:
         object.__setattr__(self, "values", vals)
 
 
-def crop_geometry(samples, sampling_rate, crop_seconds, stride_seconds, trial_id):
-    """Crop length and stride in whole samples, checked against a trial of
-    ``samples`` samples, which holds (samples - length) // stride + 1 crops."""
-    length_f = sampling_rate * crop_seconds
-    stride_f = sampling_rate * stride_seconds
-    if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
-        raise DataError(
-            f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
-            f"span whole samples at {sampling_rate:g} Hz"
-        )
-    length = int(round(length_f))
-    stride = int(round(stride_f))
-    if length <= 0 or stride <= 0:
-        raise DataError("crop and stride must be positive")
-    if length > samples:
-        raise DataError(
-            f"trial {trial_id}: crop of {length} samples exceeds trial of {samples}"
-        )
-    return length, stride
-
-
 def crop_trial(
     trial: np.ndarray,
     sampling_rate: float,
@@ -123,9 +103,26 @@ def crop_trial(
     with S the stride and the window length both in whole samples.
     """
     n = np.shape(trial)[-1]
-    length, stride = crop_geometry(
-        n, sampling_rate, crop_seconds, stride_seconds, trial_id
-    )
+    length_f = sampling_rate * crop_seconds
+    stride_f = sampling_rate * stride_seconds
+    if not np.isfinite((length_f, stride_f)).all():
+        raise DataError(
+            f"crop_seconds {crop_seconds:g} and stride_seconds {stride_seconds:g} "
+            f"must each span a finite number of samples at {sampling_rate:g} Hz"
+        )
+    if abs(length_f - round(length_f)) > 1e-9 or abs(stride_f - round(stride_f)) > 1e-9:
+        raise DataError(
+            f"crop ({crop_seconds:g} s) and stride ({stride_seconds:g} s) must "
+            f"span whole samples at {sampling_rate:g} Hz"
+        )
+    length = int(round(length_f))
+    stride = int(round(stride_f))
+    if length <= 0 or stride <= 0:
+        raise DataError("crop and stride must be positive")
+    if length > n:
+        raise DataError(
+            f"trial {trial_id}: crop of {length} samples exceeds trial of {n}"
+        )
     return [
         Crop(trial_id, start, length, label)
         for start in range(1, n - length + 2, stride)
@@ -204,13 +201,9 @@ def export_image(image: CausalityImage, path) -> None:
     else:
         pixels = np.full(vals.shape, 128, dtype=np.uint8)
     rows, cols = vals.shape
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-    with open(path + ".txt", "w", encoding="ascii") as fh:
-        fh.write(f"min: {lo!r}\n")
-        fh.write(f"max: {hi!r}\n")
-        fh.write(f"rows: {rows}\n")
-        fh.write(f"cols: {cols}\n")
-        fh.write(f"electrodes: {' '.join(image.electrode_order)}\n")
+    sidecar = (
+        f"min: {lo!r}\nmax: {hi!r}\nrows: {rows}\ncols: {cols}\n"
+        f"electrodes: {' '.join(image.electrode_order)}\n"
+    ).encode("ascii")
+    atomic_write(path, f"P5\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes())
+    atomic_write(f"{path}.txt", sidecar)

@@ -91,8 +91,8 @@ class RunConfig:
         (6.0, 15.0), "data", float, keys=("band_low", "band_high")
     )
     electrodes: tuple[str, ...] = _key(ELECTRODE_ORDER, "data", _tuple_of(str))
-    crop_seconds: float = _key(2.0, "data", float)
-    stride_seconds: float = _key(0.5, "data", float)
+    crop_seconds: float = _key(2.0, "data", float, Range(0, ends="(]"))
+    stride_seconds: float = _key(0.5, "data", float, Range(0, ends="(]"))
     orders: tuple[int, ...] = _key((3, 4, 5), "causality", _tuple_of(int))
     scale: int = _key(3, "causality", int)
     lags: int = _key(3, "causality", int)
@@ -107,7 +107,7 @@ class RunConfig:
     max_epochs: int = _key(60, "classifier", int, Range(1))
     early_stop_patience: int = _key(15, "classifier", int)
     chi: int = _key(5, "classifier", int, boosting.ROUNDS)
-    seed: int = _key(0, "run", int)
+    seed: int = _key(0, "run", int, Range(0))
     threads: int = _key(1, "run", int, Range(1))
     out_dir: str | None = _key(None, "run", str)
 
@@ -303,18 +303,17 @@ def bandpass(trial_set: TrialSet, low: float, high: float) -> TrialSet:
     fs = trial_set.sampling_rate
     if not 0 < low < high < fs / 2:
         raise DataError(f"band [{low}, {high}] invalid for fs={fs}")
-    for t in trial_set.trials:
+    trials = trial_set.trials
+    shapes: dict[tuple, list[int]] = {}
+    for i, t in enumerate(trials):
         if t.data.shape[-1] <= BANDPASS_PAD:
             raise DataError(
                 f"trial {t.trial_id}: {t.data.shape[-1]} samples, the band-pass "
                 f"needs at least {BANDPASS_PAD + 1}"
             )
-    b, a = _butterworth_bandpass(low, high, fs)
-    trials = trial_set.trials
-    filtered = list(trials)
-    shapes: dict[tuple, list[int]] = {}
-    for i, t in enumerate(trials):
         shapes.setdefault(t.data.shape, []).append(i)
+    b, a = _butterworth_bandpass(low, high, fs)
+    filtered = list(trials)
     for (channels, n), rows in shapes.items():
         stack = np.concatenate([trials[i].data for i in rows], dtype=float)
         for i, data in zip(rows, _filtfilt(b, a, stack).reshape(-1, channels, n)):
@@ -515,30 +514,30 @@ def trial_images(
     ``crops_per_trial[i]`` indexes the rows of ``images`` belonging to
     trial i, in crop order.
     """
-    with _imaging([trial_set], config) as images:
+    with _imaging([_crop_units(trial_set, config)], config.threads) as images:
         return next(images)
 
 
 @contextlib.contextmanager
-def _imaging(trial_sets, config: RunConfig):
-    """Yields an iterator of each set's ``trial_images`` result in turn.
+def _imaging(splits, threads: int):
+    """Yields an iterator of each cropped split's ``trial_images`` result in
+    turn, given the splits as ``_crop_units`` returns them.
 
-    Every set is checked and cropped up front, then all their crops are
-    queued at once, in order, on one pool of ``config.threads`` workers,
-    which images later sets while the caller works on earlier ones (one
-    thread images each crop as it is read).  Leaving the block cancels
-    the crops still queued and waits for the workers to exit.
+    All their crops are queued at once, in order, on one pool of
+    ``threads`` workers, which images later splits while the caller works
+    on earlier ones (one thread images each crop as it is read).  Leaving
+    the block cancels the crops still queued and waits for the workers to
+    exit.
     """
-    splits = [_crop_units(trial_set, config) for trial_set in trial_sets]
     units = [unit for split in splits for unit in split[0]]
     pool = None
-    if config.threads > 1:
+    if threads > 1:
         # imported here, so a single-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # only the workers keep freed memory: the parent trains, and a
         # forked worker would inherit whatever heap the parent kept
-        pool = ProcessPoolExecutor(config.threads, initializer=_keep_freed_memory)
+        pool = ProcessPoolExecutor(threads, initializer=_keep_freed_memory)
     else:
         _keep_freed_memory()
     try:
@@ -591,8 +590,8 @@ def _crop_units(trial_set: TrialSet, config: RunConfig):
     sel = [trial_set.channel_names.index(e) for e in electrodes]
     pairs = [(electrodes.index(s), electrodes.index(k)) for s, k in IMAGE_PAIRS]
     fs = trial_set.sampling_rate
-    check_frequency_grid(config, fs)
     cgc = config.cgc_config()
+    cgc.freq_grid(fs)
     units, labels, groups = [], [], []
     for trial in trial_set.trials:
         crops = crop_trial(
@@ -605,17 +604,6 @@ def _crop_units(trial_set: TrialSet, config: RunConfig):
             data = crop.extract(trial.data)[sel]
             units.append((data, electrodes, pairs, fs, cgc, name))
     return units, np.array(labels), [t.trial_id for t in trial_set.trials], groups
-
-
-def check_frequency_grid(config: RunConfig, sampling_rate: float) -> None:
-    """Reject data sampled too slowly for the causality grid, before imaging."""
-    try:
-        config.cgc_config().freq_grid(sampling_rate)
-    except DataError as exc:
-        raise DataError(
-            f"data sampled at {sampling_rate:g} Hz is too slow for the causality "
-            f"grid: {exc}"
-        ) from exc
 
 
 def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
@@ -635,6 +623,10 @@ def run_pipeline(config: RunConfig, trial_set: TrialSet | None = None) -> dict:
     return report
 
 
+#: the evaluation's metrics, in the order ``report.csv`` lists them
+EVALUATION_KEYS = tuple("tp fp tn fn sensitivity specificity accuracy kappa".split())
+
+
 def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None):
     """Boost ConvNets on the causality images of the band-passed set's train
     split, unless a loaded ``ensemble`` (read from ``model_path``) is given,
@@ -642,8 +634,9 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
 
     Every check that needs the data runs before any crop is imaged, in one
     order: the train split holds both classes (or, with a loaded ensemble,
-    there are test trials); each test trial has an odd crop count; the
-    classifier, or each loaded member, reads images of the run's shape.
+    there are test trials); the test split crops (``_crop_units``) and each
+    test trial has an odd crop count; the classifier, or each loaded
+    member, reads images of the run's shape; the train split crops.
     Returns the ensemble, the report and the image stack of each split.
     """
     train_set, test_set = filtered.subset("train"), filtered.subset("test")
@@ -654,18 +647,21 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
             raise DataError(f"training split must hold both classes, has {has}")
     elif len(test_set) == 0:
         raise DataError("no test trials in manifest")
-    fs = filtered.sampling_rate
-    for trial in test_set.trials:
-        crops = crop_trial(
-            trial.data, fs, config.crop_seconds, config.stride_seconds, trial.trial_id
-        )
-        if len(crops) % 2 == 0:
+    test = _crop_units(test_set, config)
+    for trial_id, rows in zip(test[2], test[3]):
+        if len(rows) % 2 == 0:
             raise DataError(
-                f"trial {trial.trial_id}: {len(crops)} crops, but majority voting "
+                f"trial {trial_id}: {len(rows)} crops, but majority voting "
                 "needs an odd crop count"
             )
     # an image has one column per grid time of a crop
-    crop = round(fs * config.crop_seconds)
+    crop = filtered.sampling_rate * config.crop_seconds
+    if not np.isfinite(crop):  # without test trials, no crop refused it yet
+        raise DataError(
+            f"crop_seconds {config.crop_seconds:g} must span a finite number of "
+            f"samples at {filtered.sampling_rate:g} Hz"
+        )
+    crop = round(crop)
     width = -(-crop // config.time_decimation)
     made = f"crops of {crop} samples, time_decimation {config.time_decimation}"
     if ensemble is None:
@@ -686,10 +682,10 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
                     f"{member.model.input_shape}, this run makes {shape} ({made})"
                 )
 
-    splits = [train_set, test_set] if ensemble is None else [test_set]
+    splits = [test] if ensemble is not None else [_crop_units(train_set, config), test]
     stacks = {}
     # the pool images the test crops while the ensemble trains
-    with _imaging(splits, config) as images:
+    with _imaging(splits, config.threads) as images:
         if ensemble is None:
             stacks["train"], labels, _, _ = next(images)
             ensemble = boosting.adaboost_train(
@@ -716,8 +712,7 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
                 for rows in groups
             ]
             ev = boosting.evaluate(predictions, [t.label for t in test_set.trials])
-            keys = "tp fp tn fn sensitivity specificity accuracy kappa".split()
-            report["evaluation"] = {key: getattr(ev, key) for key in keys}
+            report["evaluation"] = {key: getattr(ev, key) for key in EVALUATION_KEYS}
             report["evaluation"]["per_trial"] = [
                 {"trial_id": t.trial_id, "predicted": int(p), "truth": int(t.label)}
                 for t, p in zip(test_set.trials, predictions)
@@ -742,11 +737,7 @@ def _write_artifacts(config, report, ensemble, stacks):
     )
     lines = ["metric,value"]
     if "evaluation" in report:
-        ev = report["evaluation"]
-        for key in ("tp", "fp", "tn", "fn"):
-            lines.append(f"{key},{ev[key]}")
-        for key in ("sensitivity", "specificity", "accuracy", "kappa"):
-            lines.append(f"{key},{ev[key]!r}")
+        lines += [f"{key},{report['evaluation'][key]!r}" for key in EVALUATION_KEYS]
     gridio.atomic_write(
         os.path.join(out, "report.csv"), ("\n".join(lines) + "\n").encode()
     )

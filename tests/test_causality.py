@@ -310,6 +310,27 @@ class TestCombineAndCausality:
         assert np.all(vals >= 0.0)
 
 
+class TestSamplingRate:
+    """A rate that is not finite and positive is refused before any fit."""
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf, 0.0, -250.0])
+    def test_freq_grid_refuses(self, fs):
+        with pytest.raises(DataError, match="sampling rate must be finite and positive"):
+            CHEAP.freq_grid(fs)
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf])
+    def test_maps_refuse_before_fitting(self, monkeypatch, fs):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started")
+
+        monkeypatch.setattr(causality, "fit_equations", no_fit)
+        sig = np.random.default_rng(0).standard_normal((3, 200))
+        with pytest.raises(DataError, match="sampling rate must be finite"):
+            pairwise_maps(sig, [0, 1, 2], fs, CHEAP)
+        with pytest.raises(DataError, match="sampling rate must be finite"):
+            tf_cgc_map(sig, 0, 1, [2], fs, CHEAP)
+
+
 class TestTfCgcMap:
     def test_standard_dimensions(self):
         rng = np.random.default_rng(2)

@@ -21,7 +21,7 @@ from tfcgc.cli import (
     build_run_config,
     main,
 )
-from tfcgc.errors import ConfigError
+from tfcgc.errors import ConfigError, NumericError
 from tfcgc.images import ELECTRODE_ORDER
 
 CHEAP_CFG = """
@@ -197,6 +197,16 @@ class TestSynthCommand:
                 "[synth] window_low and window_high must satisfy 0 <= low < high "
                 "<= 1, got 0.9 and 0.75",
             ),
+            (
+                "sampling_rate = 1e308",
+                "[synth] trial_seconds 4 at sampling_rate 1e+308 makes trials of inf "
+                "samples",
+            ),
+            (
+                "trial_seconds = 1e308",
+                "[synth] trial_seconds 1e+308 at sampling_rate 250 makes trials of inf "
+                "samples",
+            ),
         ],
     )
     def test_bad_setting_refused_before_writing(self, tmp_path, capsys, setting, message):
@@ -204,6 +214,12 @@ class TestSynthCommand:
         out = tmp_path / "fixture"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    def test_negative_seed_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "fixture"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: --seed must be at least 0, got -1"
         assert not out.exists()
 
 
@@ -277,6 +293,20 @@ class TestCausalityCommand:
         assert code == EXIT_USAGE
         assert err.strip() == "error: --source and --sink must differ, both are C3"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf", "0", "-250"])
+    def test_rate_not_finite_and_positive(self, tmp_path, capsys, monkeypatch, fs):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("trial read")
+
+        monkeypatch.setattr(pipeline, "_load_trial_csv", no_reading)
+        code = main(
+            ["causality", "--trial", str(tmp_path / "trial.csv"), "--source", "C4",
+             "--sink", "C3", f"--fs={fs}"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.strip() == f"error: --fs must be finite and positive, got {float(fs):g}"
 
     def test_flat_sink_channel(self, tmp_path, capsys):
         ts = pipeline.synth_generate(
@@ -652,7 +682,17 @@ RANGE_CASES = [
         "[classifier] max_epochs must be at least 1, got 0",
     ),
     ("[classifier]\nchi = 0\n", "[classifier] chi must be at least 1, got 0"),
+    (
+        "[classifier]\nearly_stop_patience = -1\n",
+        "[classifier] early_stop_patience must be at least 0, got -1",
+    ),
     ("[run]\nthreads = 0\n", "[run] threads must be at least 1, got 0"),
+    ("[run]\nseed = -1\n", "[run] seed must be at least 0, got -1"),
+    ("[data]\ncrop_seconds = nan\n", "[data] crop_seconds must be greater than 0, got nan"),
+    (
+        "[data]\nstride_seconds = inf\n",
+        "[data] stride_seconds must be greater than 0, got inf",
+    ),
 ]
 
 
@@ -696,6 +736,62 @@ class TestConfigRanges:
         assert code == EXIT_USAGE
         assert err.strip() == f"error: {message}"
         assert "Traceback" not in err
+
+
+#: the values every config key is given, as config file text
+SURFACE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308")
+#: the command that reads each config table; `train` also crops without a
+#: test split, so it tries the [data] keys a second time
+SURFACE_COMMANDS = [
+    ("synth" if section == "synth" else "run", section, key)
+    for section, keys in cli._SCHEMA.items()
+    for key in keys
+] + [("train", "data", key) for key in cli._SCHEMA["data"] if key != "manifest"]
+
+
+class TestConfigSurface:
+    """Each config key, given each of SURFACE_VALUES, ends with exit 0, 1, 2
+    or 3 and no traceback; an error names the key or the file. Imaging is
+    stubbed to fail, so a run that reaches it exits 3 at once."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("surface")
+        cfg = write_cfg(data, "[synth]\ntrials_per_class = 1\n")
+        assert main(["synth", "--config", cfg, "--out", str(data / "d")]) == EXIT_OK
+        return str(data / "d" / "manifest.csv")
+
+    @pytest.mark.parametrize("command, section, key", SURFACE_COMMANDS)
+    def test_every_value(self, tmp_path, capsys, monkeypatch, manifest, command, section, key):
+        def imaging_fails(*args, **kwargs):
+            raise NumericError("imaging reached")
+
+        monkeypatch.setattr(pipeline, "_crop_image_unit", imaging_fails)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        field = cli._SCHEMA[section][key][1].name
+        for value in SURFACE_VALUES:
+            tables = {"synth": {"trials_per_class": "1"}}
+            tables.setdefault(section, {})[key] = value
+            text = "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for name, keys in tables.items()
+            )
+            cfg = write_cfg(tmp_path, text)
+            # a flag would override the key it is tried on
+            args = [command, "--config", cfg]
+            if key != "out_dir":
+                args += ["--out", str(tmp_path / value)]
+            if command != "synth" and key != "manifest":
+                args += ["--manifest", manifest]
+            code = main(args)
+            err = capsys.readouterr().err
+            case = f"{command} [{section}] {key} = {value}: exit {code}, {err!r}"
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), case
+            assert "Traceback" not in err, case
+            if code != EXIT_OK and err != "numeric failure: imaging reached\n":
+                named = [key, field, cfg] + ([value] if key == "manifest" else [])
+                assert any(name in err for name in named), case
 
 
 class TestConfigElectrodes:

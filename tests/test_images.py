@@ -216,6 +216,14 @@ class TestExportImage:
         step = (hi - lo) / 255.0
         assert np.max(np.abs(values - img.values)) <= step
 
+    def test_failed_export_leaves_no_file(self, tmp_path):
+        """A sidecar that cannot be written as ASCII fails the export before
+        either file is written, so no graymap or partial sidecar is left."""
+        img = CausalityImage(np.zeros((2, 2)), ("Fz", "C3", "Cz", "C4", "P\u017e"))
+        with pytest.raises(UnicodeEncodeError):
+            export_image(img, tmp_path / "img.pgm")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path(self, tmp_path):
         img = CausalityImage(np.zeros((2, 2)))
         with pytest.raises(OSError):
