@@ -130,9 +130,16 @@ def _lag_matrices(channel_indices, models, n_lags: int) -> np.ndarray:
 
 def _assemble_system(channel_indices, models, config: CgcConfig) -> FittedSystem:
     """Raw lag matrices and recursive residual covariances of fitted equations."""
-    n_vars = len(channel_indices)
-    n = models[0].n_samples
-    start = models[0].start_sample
+    cov = _residual_covariance(models, config)
+    lag_mats = _lag_matrices(channel_indices, models, config.lags)
+    n, start = models[0].n_samples, models[0].start_sample
+    return FittedSystem(channel_indices, models, lag_mats, cov, n, start)
+
+
+def _residual_covariance(models, config: CgcConfig) -> np.ndarray:
+    """(N, n, n) recursive covariance traces of a system's residuals."""
+    n_vars = len(models)
+    n, start = models[0].n_samples, models[0].start_sample
     usable = slice(start - 1, n)
     cov = np.zeros((n, n_vars, n_vars))
     for i, j2 in combinations_with_replacement(range(n_vars), 2):
@@ -142,8 +149,7 @@ def _assemble_system(channel_indices, models, config: CgcConfig) -> FittedSystem
         trace = recursive_covariance(ri, rj, config.forgetting, w)
         cov[usable, i, j2] = cov[usable, j2, i] = trace
         cov[: start - 1, i, j2] = cov[: start - 1, j2, i] = trace[0]
-    lag_mats = _lag_matrices(channel_indices, models, config.lags)
-    return FittedSystem(channel_indices, models, lag_mats, cov, n, start)
+    return cov
 
 
 def _apply_zero_lag(system: FittedSystem, zero_lag: np.ndarray):
@@ -350,20 +356,21 @@ def _first_sample(bad: np.ndarray, time_indices: np.ndarray) -> int:
 
 
 def _pair_values(
-    full: FittedSystem,
-    restricted,
+    lags: np.ndarray,
+    cov: np.ndarray,
+    pairs,
     sampling_rate: float,
     freqs: np.ndarray,
     time_indices: np.ndarray,
 ) -> np.ndarray:
     """Causality values of the directed pairs that share one full fit.
 
-    ``restricted`` lists ``(source, sinks, lags)``: ``lags[:, :, i]`` is
-    the (N, K, n - 1) raw lag row of ``sinks[i]`` in the system fitted on
-    the full fit's channels without ``source``, in the full fit's order.
-    Returns (pairs, T, F) values at ``time_indices``, pairs in the order
-    of ``restricted`` and of each item's ``sinks``; errors name the cell
-    of this grid.
+    ``lags`` is the (N, K, n + pairs, n) raw lag stack: the full fit's n
+    rows, then each pair's restricted sink row, all in the full fit's
+    channel order with 0 at the pair's source.  ``cov`` is the full fit's
+    (N, n, n) residual covariance and ``pairs`` lists (source slot, sink
+    slot) in that order.  Returns (pairs, T, F) values at ``time_indices``,
+    pairs in the order given; errors name the cell of this grid.
 
     In the pair order [sink k, source j] + conditioning the normalized
     full spectrum is B = D(t) P Abar P^T, and the restricted zero-lag
@@ -381,41 +388,24 @@ def _pair_values(
       covariance given the sink: q >= 0 up to rounding;
     - value = log(total / intrinsic) = log1p(q / intrinsic).
 
-    Per block of grid times, the block's full lag matrices and every sink
-    row are stacked into one real (times, K, n + pairs, n) array; its
-    spectrum holds Abar and every v.  The spectrum and its product with
-    Abar^-1 go into two buffers, made once per call, of as many times as
-    fit ``_BLOCK_BYTES`` (one at least); the last partial block uses a
-    leading slice of each.
+    Per block of grid times, the spectrum of the block's stack holds Abar
+    and every v.  The spectrum and its product with Abar^-1 go into two
+    buffers, made once per call, of as many times as fit ``_BLOCK_BYTES``
+    (one at least); the last partial block uses a leading slice of each.
     """
-    slot = {c: i for i, c in enumerate(full.channel_indices)}
-    n = len(slot)
-    pairs = [(source, sink) for source, sinks, _ in restricted for sink in sinks]
-    k = np.array([slot[sink] for _, sink in pairs])
-    j = np.array([slot[source] for source, _ in pairs])
+    n = cov.shape[-1]
+    j, k = np.array(pairs).T
     # the stack's zero-lag term: I over Abar, a 1 at each sink of a v row
     zero_lag = np.eye(n)[np.concatenate([np.arange(n), k])][None]
-    # each item's rows of the stack and the columns its lag rows fill
-    places, row = [], n
-    for source, sinks, lags in restricted:
-        columns = np.delete(np.arange(n), slot[source])
-        places.append((slice(row, row + len(sinks)), columns, lags))
-        row += len(sinks)
-    values = np.empty((len(pairs), time_indices.size, len(freqs)))
+    values = np.empty((k.size, time_indices.size, len(freqs)))
     times = max(1, _BLOCK_BYTES // (16 * len(freqs) * (n + k.size) * n))
     size = (min(times, time_indices.size), len(freqs), n + k.size, n)
     spectrum, product = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
     for t0 in range(0, time_indices.size, times):
         block = time_indices[t0 : t0 + times]
-        rows = np.zeros(block.shape + full.lag_matrices.shape[1:2] + (n + k.size, n))
-        rows[:, :, :n] = full.lag_matrices[block]
-        for at, columns, lags in places:
-            rows[:, :, at, columns] = lags[block]
-        spec = _spectrum(zero_lag, rows, sampling_rate, freqs, spectrum[: block.size])
+        spec = _spectrum(zero_lag, lags[block], sampling_rate, freqs, spectrum[: block.size])
         w = _times_inverse(spec, n, "coefficient", t0, product[: block.size])
-        values[:, t0 : t0 + times] = _block_values(
-            full.residual_covariance[block], w, k, j, block
-        )
+        values[:, t0 : t0 + times] = _block_values(cov[block], w, k, j, block)
     return values
 
 
@@ -500,13 +490,14 @@ def pairwise_maps(
     full_models, *rest_models = _fit_models(
         signals, [channels] + rests, config, [channels] + [sinks[s] for s in sources]
     )
-    full = _assemble_system(channels, full_models, config)
-    # only the restricted sink rows: nothing reads their covariances
-    lags = [_lag_matrices(r, m, config.lags) for r, m in zip(rests, rest_models)]
-    del rest_models
-    restricted = [(src, sinks[src], lag) for src, lag in zip(sources, lags)]
+    # the full rows, then every restricted sink row; a restricted model
+    # never uses its source, whose column stays 0
+    lags = _lag_matrices(channels, sum(rest_models, full_models), config.lags)
+    del rest_models  # only their lag rows are read: free them first
+    cov = _residual_covariance(full_models, config)
     pairs = [(src, sink) for src in sources for sink in sinks[src]]
-    values = _pair_values(full, restricted, sampling_rate, freqs, time_indices)
+    slots = [(channels.index(src), channels.index(sink)) for src, sink in pairs]
+    values = _pair_values(lags, cov, slots, sampling_rate, freqs, time_indices)
     return {
         (source, sink): CgcMap(
             source=source,
@@ -569,16 +560,18 @@ def significance_test(
     fs, freqs = cgc_map.sampling_rate, cgc_map.freq_axis
     # the restricted system excludes the source, so no shift changes it:
     # one fit of its sink equation serves every surrogate
-    kept = [sink] + conditioning
-    (models,) = _fit_models(signals, [kept], config, [[sink]])
-    lags = _lag_matrices(kept, models, config.lags)
-    restricted = [(source, [sink], lags)]
+    channels = [sink, source] + conditioning
+    (models,) = _fit_models(signals, [[sink] + conditioning], config, [[sink]])
+    sink_row = _lag_matrices(channels, models, config.lags)
     ensemble = np.empty((n_surrogates,) + cgc_map.values.shape)
     for s in range(n_surrogates):
         shift = int(rng.integers(min_shift, n - min_shift + 1))
         surr = signals.copy()
         surr[source] = np.roll(surr[source], shift)
-        full = fit_system(surr, [sink, source] + conditioning, config)
-        ensemble[s] = _pair_values(full, restricted, fs, freqs, time_indices)[0]
+        full = fit_system(surr, channels, config)
+        lags = np.concatenate([full.lag_matrices, sink_row], axis=2)
+        ensemble[s] = _pair_values(
+            lags, full.residual_covariance, [(1, 0)], fs, freqs, time_indices
+        )[0]
     threshold = np.quantile(ensemble, 1.0 - level, axis=0, method="higher")
     return cgc_map.values > threshold

@@ -219,6 +219,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
+    if args.folds < 2:  # fewer folds leave no split to validate on
+        raise ConfigError(f"--folds must be at least 2, got {args.folds}")
     config = build_run_config(args)
     arrays, _, _ = gridio.read_grid(args.images)
     missing = [name for name in ("images", "labels") if name not in arrays]

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bsplines import BSplineSpec, MultiwaveletDictionary, build_dictionary
+from .bsplines import MultiwaveletDictionary, build_dictionary
 from .errors import ConfigError, DataError, NumericError, Range, check_ranges, ranged
 
 #: the forgetting factors the recursive covariance accepts
@@ -440,8 +440,6 @@ class TvarxModel:
     rofr: RofrResult
     n_samples: int
     start_sample: int
-    selected_terms: list[tuple[int, int, BSplineSpec]]  # (variable slot, lag, basis)
-    expansion_coefficients: np.ndarray
     residuals: np.ndarray  # full length N, zero before start_sample
     timevarying_coefficients: dict = field(default_factory=dict)
 
@@ -462,9 +460,8 @@ def reconstruct_coefficients(model: TvarxModel) -> dict:
     basis = _sampled_basis(dictionary.orders, dictionary.scale, n)
     bases = dictionary.bases_per_term
     series: dict[tuple[int, int], np.ndarray] = {}
-    for (slot, lag, _), index, coeff in zip(
-        model.selected_terms, model.rofr.selected_indices, model.expansion_coefficients
-    ):
+    for index, coeff in zip(model.rofr.selected_indices, model.rofr.coefficients):
+        slot, lag, _ = dictionary.candidates[index]
         chan = model.variables[slot]
         key = (chan, lag)
         if key not in series:
@@ -497,8 +494,6 @@ def fit_equations(signals: np.ndarray, equations, rofr: RofrConfig | None = None
             rofr=result,
             n_samples=n,
             start_sample=start,
-            selected_terms=[d.candidates[i] for i in result.selected_indices],
-            expansion_coefficients=result.coefficients,
             residuals=residuals,
         )
         model.timevarying_coefficients = reconstruct_coefficients(model)

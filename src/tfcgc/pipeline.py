@@ -121,6 +121,10 @@ class RunConfig:
         except ConfigError as exc:
             key = {f.name: f for f in dataclasses.fields(self)}[exc.key]
             raise ConfigError(f"[{key.metadata['section']}] {exc}") from exc
+        if len(set(self.electrodes)) < len(self.electrodes):
+            raise ConfigError(
+                f"[data] electrodes must name each electrode once, got {self.electrodes!r}"
+            )
         bases = bsplines.basis_count(self.orders, self.scale)
         if len(self.electrodes) * self.lags * bases > MAX_COLUMNS:
             raise ConfigError(
@@ -434,13 +438,14 @@ class SynthSpec:
         return {(src, dst): self.coupling}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
     """Seeded two-class fixture.
 
     Trial k of a class draws its noise from ``SeedSequence([seed, class, k])``.
     Every trial of the call is one column of a (samples, trials, channels)
     state that one time loop advances; each class couples its own block of
-    trials inside the window.
+    trials inside the window.  Settings whose samples overflow are refused.
     """
     omega = 2 * np.pi * spec.oscillation_freq / spec.sampling_rate
     a1, a2 = 2 * spec.pole_radius * np.cos(omega), -spec.pole_radius**2
@@ -476,6 +481,11 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> TrialSet:
         if lo <= t < hi:
             for block, src, dst, strength in couplings:
                 x[t, block, dst] += strength * x[t - 1, block, src]
+    if not np.isfinite(x).all():
+        raise ConfigError(
+            f"[synth] coupling {spec.coupling:g}, noise_scale {spec.noise_scale:g} and "
+            f"oscillation_freq {spec.oscillation_freq:g} make non-finite samples"
+        )
     trials = []
     for c, label in enumerate(labels):
         for k in range(per_class):
@@ -524,10 +534,11 @@ def _imaging(splits, threads: int):
     turn, given the splits as ``_crop_units`` returns them.
 
     All their crops are queued at once, in order, on one pool of
-    ``threads`` workers, which images later splits while the caller works
-    on earlier ones (one thread images each crop as it is read).  Leaving
-    the block cancels the crops still queued and waits for the workers to
-    exit.
+    ``threads`` workers, at most one a crop (under fork, CPython starts
+    every worker at the first submit), which images later splits while the
+    caller works on earlier ones (one thread images each crop as it is
+    read).  Leaving the block cancels the crops still queued and waits for
+    the workers to exit.
     """
     units = [unit for split in splits for unit in split[0]]
     pool = None
@@ -537,7 +548,8 @@ def _imaging(splits, threads: int):
 
         # only the workers keep freed memory: the parent trains, and a
         # forked worker would inherit whatever heap the parent kept
-        pool = ProcessPoolExecutor(threads, initializer=_keep_freed_memory)
+        workers = min(threads, len(units))
+        pool = ProcessPoolExecutor(workers, initializer=_keep_freed_memory)
     else:
         _keep_freed_memory()
     try:
@@ -635,9 +647,10 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
     Every check that needs the data runs before any crop is imaged, in one
     order: the train split holds both classes (or, with a loaded ensemble,
     there are test trials); the test split crops (``_crop_units``) and each
-    test trial has an odd crop count; the classifier, or each loaded
-    member, reads images of the run's shape; the train split crops.
-    Returns the ensemble, the report and the image stack of each split.
+    test trial has an odd crop count; the train split crops; the
+    classifier, or each loaded member, reads images of the shape the
+    crops make.  Returns the ensemble, the report and the image stack of
+    each split.
     """
     train_set, test_set = filtered.subset("train"), filtered.subset("test")
     if ensemble is None:
@@ -654,14 +667,9 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
                 f"trial {trial_id}: {len(rows)} crops, but majority voting "
                 "needs an odd crop count"
             )
-    # an image has one column per grid time of a crop
-    crop = filtered.sampling_rate * config.crop_seconds
-    if not np.isfinite(crop):  # without test trials, no crop refused it yet
-        raise DataError(
-            f"crop_seconds {config.crop_seconds:g} must span a finite number of "
-            f"samples at {filtered.sampling_rate:g} Hz"
-        )
-    crop = round(crop)
+    splits = [test] if ensemble is not None else [_crop_units(train_set, config), test]
+    # an image has one column per grid time of a crop (the first unit's data)
+    crop = splits[0][0][0][0].shape[1]
     width = -(-crop // config.time_decimation)
     made = f"crops of {crop} samples, time_decimation {config.time_decimation}"
     if ensemble is None:
@@ -682,7 +690,6 @@ def decode(config: RunConfig, filtered: TrialSet, ensemble=None, model_path=None
                     f"{member.model.input_shape}, this run makes {shape} ({made})"
                 )
 
-    splits = [test] if ensemble is not None else [_crop_units(train_set, config), test]
     stacks = {}
     # the pool images the test crops while the ensemble trains
     with _imaging(splits, config.threads) as images:

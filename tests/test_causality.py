@@ -570,6 +570,14 @@ class TestSignificance:
             significance_test(m, sig, CHEAP, n_surrogates=0)
 
 
+def source_1_to_sink_0(full_lags, sink_row, cov, freqs, fs=250.0):
+    """``_pair_values`` of the one pair from slot 1 to slot 0, given the full
+    fit's (N, K, n, n) lags, the sink's restricted (N, K, n) lag row in the
+    full fit's order and the full fit's (N, n, n) covariance."""
+    lags = np.concatenate([full_lags, sink_row[:, :, None]], axis=2)
+    return _pair_values(lags, cov, [(1, 0)], fs, freqs, np.arange(len(cov)))
+
+
 class TestPairValues:
     def test_singular_spectrum_located(self):
         # a lag-1 rotation by 2 pi 10 / f_s makes I - R e^{-i 2 pi f / f_s}
@@ -582,22 +590,18 @@ class TestPairValues:
         n = 6
         lag = np.zeros((n, 1, 2, 2))
         lag[3, 0] = rot
-        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
-        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        cov = np.tile(np.eye(2), (n, 1, 1))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
-        lags = restricted.lag_matrices
         with pytest.raises(NumericError, match=r"ill-conditioned .* \(t=3, f=2\)"):
-            _pair_values(full, [(1, [0], lags)], fs, freqs, np.arange(n))
+            source_1_to_sink_0(lag, np.zeros((n, 1, 2)), cov, freqs, fs)
 
     def test_degenerate_conditional_source_variance(self):
         # source residual fully explained by the sink's: Sigma_jj|k = 0
         n = 4
-        full = make_fitted_stub(np.tile(np.ones((2, 2)), (n, 1, 1)))
-        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        cov = np.tile(np.ones((2, 2)), (n, 1, 1))
         freqs = np.array([8.0, 10.0])
-        lags = restricted.lag_matrices
         with pytest.raises(NumericError, match="conditional source"):
-            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
+            source_1_to_sink_0(np.zeros((n, 1, 2, 2)), np.zeros((n, 1, 2)), cov, freqs)
 
     def test_indefinite_covariance_rejected(self):
         # Sigma given the sink is indefinite over the conditioning pair, so
@@ -606,15 +610,12 @@ class TestPairValues:
         n = 3
         cov = np.tile(np.eye(4), (n, 1, 1))
         cov[:, 2, 3] = cov[:, 3, 2] = 2.0
-        full = make_fitted_stub(cov)
-        lag = np.zeros((n, 1, 3, 3))
-        lag[:, 0, 0, 1] = 0.5
-        lag[:, 0, 0, 2] = -0.5
-        restricted = make_fitted_stub(np.tile(np.eye(3), (n, 1, 1)), lag)
+        row = np.zeros((n, 1, 4))
+        row[:, 0, 2] = 0.5
+        row[:, 0, 3] = -0.5
         freqs = np.array([8.0, 10.0])
-        lags = restricted.lag_matrices[:, :, :1]
         with pytest.raises(NumericError, match="causal spectrum term < 0 beyond rounding"):
-            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
+            source_1_to_sink_0(np.zeros((n, 1, 4, 4)), row, cov, freqs)
 
     @pytest.mark.parametrize("times, cell", [([3], "t=3, f=0"), (slice(None), "t=0, f=0")])
     def test_nan_lag_names_its_first_cell(self, times, cell):
@@ -623,12 +624,11 @@ class TestPairValues:
         n = 6
         lag = np.zeros((n, 1, 2, 2))
         lag[times, 0, 0, 1] = np.nan
-        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
-        lags = make_fitted_stub(np.ones((n, 1, 1))).lag_matrices
+        cov = np.tile(np.eye(2), (n, 1, 1))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
         named = re.escape(f"coefficient matrix at grid point ({cell})")
         with pytest.raises(NumericError, match=named):
-            _pair_values(full, [(1, [0], lags)], 250.0, freqs, np.arange(n))
+            source_1_to_sink_0(lag, np.zeros((n, 1, 2)), cov, freqs)
 
 
 def band_passed_crop(seed, config):
@@ -721,6 +721,20 @@ def fit_together(signals, systems, config):
     ]
 
 
+def pair_stack(full, sources, fits, config):
+    """``_pair_values``' lag stack and pairs: ``full``'s lag matrices, then
+    the rows of each of ``fits``, the fit without the matching source, in
+    ``full``'s channel order."""
+    channels = full.channel_indices
+    rows = [causality._lag_matrices(channels, fit.models, config.lags) for fit in fits]
+    pairs = [
+        (channels.index(src), channels.index(sink))
+        for src, fit in zip(sources, fits)
+        for sink in fit.channel_indices
+    ]
+    return np.concatenate([full.lag_matrices] + rows, axis=2), pairs
+
+
 #: bytes one grid time takes in each block buffer of ``_pair_values`` for
 #: all 12 pairs of 4 channels on CHEAP's 18-frequency grid
 FOUR_CHANNEL_TIME = 16 * 18 * (4 + 12) * 4
@@ -783,18 +797,12 @@ class TestBatchedPairs:
         full, *fits = fit_together(sig, [channels] + rests, CHEAP)
         freqs = CHEAP.freq_grid(250.0)
         times = np.arange(0, 200, 3)
-        items = [
-            (src, fit.channel_indices, fit.lag_matrices)
-            for src, fit in zip(channels, fits)
-        ]
-        forward = _pair_values(full, items, 250.0, freqs, times)
-        backward = _pair_values(
-            full,
-            [(src, rest[::-1], lag[:, :, ::-1]) for src, rest, lag in items[::-1]],
-            250.0,
-            freqs,
-            times,
-        )
+        lags, pairs = pair_stack(full, channels, fits, CHEAP)
+        cov = full.residual_covariance
+        forward = _pair_values(lags, cov, pairs, 250.0, freqs, times)
+        n = len(channels)
+        reverse = np.concatenate([lags[:, :, :n], lags[:, :, n:][:, :, ::-1]], axis=2)
+        backward = _pair_values(reverse, cov, pairs[::-1], 250.0, freqs, times)
         assert forward.shape == (12, times.size, freqs.size)
         assert np.all(forward.max(axis=(1, 2)) > 0)
         np.testing.assert_array_equal(backward, forward[::-1])
@@ -826,12 +834,10 @@ class TestBatchedPairs:
         # every system fitted whole
         rests = [[c for c in channels if c != src] for src in channels]
         full, *fits = fit_together(sig, [channels] + rests, CHEAP)
-        items = [
-            (src, fit.channel_indices, fit.lag_matrices)
-            for src, fit in zip(channels, fits)
-        ]
+        lags, slots = pair_stack(full, channels, fits, CHEAP)
         expected = _pair_values(
-            full, items, 250.0, CHEAP.freq_grid(250.0), np.arange(200)
+            lags, full.residual_covariance, slots, 250.0, CHEAP.freq_grid(250.0),
+            np.arange(200),
         )
         pairs = [(src, sink) for src, rest in zip(channels, rests) for sink in rest]
         assert list(maps) == pairs
@@ -904,12 +910,9 @@ class TestBatchedPairs:
         n, t_bad = 3 * block, 2 * block + 3
         lag = np.zeros((n, 1, 2, 2))
         lag[t_bad, 0] = rot
-        full = make_fitted_stub(np.tile(np.eye(2), (n, 1, 1)), lag)
-        restricted = make_fitted_stub(np.ones((n, 1, 1)))
+        cov = np.tile(np.eye(2), (n, 1, 1))
         freqs = np.array([6.0, 8.0, 10.0, 12.0])
         with pytest.raises(NumericError, match=rf"ill-conditioned .* \(t={t_bad}, f=2\)"):
-            _pair_values(
-                full, [(1, [0], restricted.lag_matrices)], fs, freqs, np.arange(n)
-            )
+            source_1_to_sink_0(lag, np.zeros((n, 1, 2)), cov, freqs, fs)
         # the first two blocks passed
         assert [rows.shape[0] for rows, _ in kept] == [block, block]

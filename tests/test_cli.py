@@ -8,6 +8,7 @@ import pathlib
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,23 @@ class TestSynthCommand:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["coupling", "noise_scale", "oscillation_freq"])
+    def test_overflowing_samples_refused_before_writing(self, tmp_path, capsys, key):
+        # each setting is finite and in range, but its samples overflow
+        cfg = write_cfg(tmp_path, f"[synth]\ntrials_per_class = 1\n{key} = 1e308\n")
+        out = tmp_path / "fixture"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings too
+            code = main(["synth", "--config", cfg, "--out", str(out)])
+        shown = {"coupling": "0.5", "noise_scale": "1", "oscillation_freq": "10", key: "1e+308"}
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == (
+            f"error: [synth] coupling {shown['coupling']}, noise_scale "
+            f"{shown['noise_scale']} and oscillation_freq {shown['oscillation_freq']} "
+            "make non-finite samples"
+        )
+        assert not out.exists()
+
     def test_negative_seed_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "fixture"
         assert main(["synth", "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
@@ -383,6 +401,16 @@ class TestGridsearchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("temporal_kernel,")
         assert len(lines) > 1
+
+
+    @pytest.mark.parametrize("folds", ["1", "0", "-1"])
+    def test_fewer_than_two_folds_refused_before_reading(self, tmp_path, capsys, folds):
+        grid = str(tmp_path / "missing.grid")
+        code = main(["gridsearch", "--images", grid, "--folds", folds])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == (
+            f"error: --folds must be at least 2, got {folds}"
+        )
 
 
 class TestRunCommand:
@@ -570,6 +598,29 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert err.strip() == message
         assert "Traceback" not in err
+
+
+    def test_train_and_run_word_an_uncountable_crop_alike(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1e308 s is finite, but not as a count of samples at 250 Hz; `run`
+        # crops the test split first, `train` the train split only
+        monkeypatch.setattr(pipeline, "_crop_image_unit", no_imaging)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(
+            tmp_path,
+            "[synth]\ntrials_per_class = 1\ntrial_seconds = 2.0\n"
+            "[data]\ncrop_seconds = 1e308\n",
+        )
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == EXIT_OK
+        manifest = capsys.readouterr().out.strip()
+        for command in ("train", "run"):
+            code = main([command, "--config", cfg, "--manifest", manifest])
+            assert code == EXIT_DATA, command
+            assert capsys.readouterr().err == (
+                "data error: crop_seconds 1e+308 and stride_seconds 0.5 must each "
+                "span a finite number of samples at 250 Hz\n"
+            ), command
 
 
 class TestTrainEval:
@@ -823,6 +874,21 @@ class TestConfigElectrodes:
             "exactly once, got ('Fz', 'C3')"
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["causality", "run"])
+    def test_repeated_electrode_refused_before_reading(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.csv")
+        inputs = {
+            "causality": ["--trial", missing, "--source", "C4", "--sink", "C3"],
+            "run": ["--manifest", missing],
+        }[command]
+        cfg = write_cfg(tmp_path, "[data]\nelectrodes = C3, C3, C4, Cz\n")
+        code = main([command, "--config", cfg] + inputs)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == (
+            "error: [data] electrodes must name each electrode once, got "
+            "('C3', 'C3', 'C4', 'Cz')"
+        )
 
     def test_causality_accepts_any_electrodes(self, tmp_path, saved_trials):
         _, trial = saved_trials

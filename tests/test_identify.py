@@ -23,6 +23,11 @@ from tfcgc.identify import (
 )
 
 
+def selected_terms(model):
+    """The (variable slot, lag, basis) of each term a model selected."""
+    return [model.dictionary.candidates[i] for i in model.rofr.selected_indices]
+
+
 def greedy_ofr_oracle(psi, x, n_terms):
     """Independent classical OFR (rho=0): re-orthogonalize from scratch at
     every step, score by squared correlation with the residual."""
@@ -393,11 +398,11 @@ class TestLockstepSearch:
         x = sig[0, 2:]
         assert full.residuals @ full.residuals < 1e-3 * (x @ x)
         assert rest.residuals @ rest.residuals > 0.5 * (x @ x)
-        assert all(rest.variables[slot] != 1 for slot, _, _ in rest.selected_terms)
+        assert all(rest.variables[slot] != 1 for slot, _, _ in selected_terms(rest))
         # the fit is what its named terms give
         u = np.arange(3, 401) / 400
         fitted = np.zeros(398)
-        for (slot, lag, spec), c in zip(rest.selected_terms, rest.expansion_coefficients):
+        for (slot, lag, spec), c in zip(selected_terms(rest), rest.rofr.coefficients):
             fitted += c * sig[rest.variables[slot], 2 - lag : 400 - lag] * basis_eval(spec, u)
         np.testing.assert_allclose(x - fitted, rest.residuals[2:], atol=1e-10)
 
@@ -590,9 +595,7 @@ class TestFitTvarx:
         model = fit_tvarx(sig, 0, [], d, RofrConfig(max_terms=5))
         rebuilt = reconstruct_coefficients(model)
         direct = {}
-        for (slot, lag, spec), c in zip(
-            model.selected_terms, model.expansion_coefficients
-        ):
+        for (slot, lag, spec), c in zip(selected_terms(model), model.rofr.coefficients):
             key = (model.variables[slot], lag)
             direct.setdefault(key, np.zeros(n))
             direct[key] += c * basis_eval(spec, u)
@@ -617,9 +620,7 @@ class TestFitTvarx:
         model = fit_tvarx(sig, 0, [1, 2], d)
         assert model.rofr.term_count > 5
         oracle = {}
-        for (slot, lag, spec), c in zip(
-            model.selected_terms, model.expansion_coefficients
-        ):
+        for (slot, lag, spec), c in zip(selected_terms(model), model.rofr.coefficients):
             key = (model.variables[slot], lag)
             oracle.setdefault(key, np.zeros(n))
             oracle[key] += c * basis_eval(spec, u)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import ctypes
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -359,6 +361,29 @@ class TestTrialImages:
         # freed arrays back to the system
         assert float(faults_per_crop) < 100
 
+    @pytest.mark.parametrize("trials, threads, workers", [(1, 4, 1), (2, 3, 2), (2, 2, 2)])
+    def test_pool_no_larger_than_the_crop_count(self, monkeypatch, trials, threads, workers):
+        sizes = []
+
+        class Pool:
+            """Records its size and images in this process: starts none."""
+
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(pipeline, "_crop_image_unit", fake_crop_image)
+        ts = tiny_synth(trials_per_class=1)  # one crop a trial
+        ts.trials = ts.trials[:trials]
+        images, *_ = trial_images(ts, dataclasses.replace(CHEAP_RUN, threads=threads))
+        assert len(images) == trials
+        assert sizes == [workers]
+
     def test_keep_freed_memory_without_mallopt(self, monkeypatch):
         def no_libc(name):
             raise OSError("no C library")
@@ -421,9 +446,10 @@ class TestImagePairs:
             equations.extend(eqs)
             return fit_equations(signals, eqs, rofr)
 
-        def counting_pairs(full, restricted, *args):
-            pairs.extend((src, k) for src, sinks, _ in restricted for k in sinks)
-            return pair_values(full, restricted, *args)
+        def counting_pairs(lags, cov, slots, *args):
+            assert lags.shape[2] == cov.shape[-1] + len(slots)  # one row a pair
+            pairs.extend(slots)  # the crop's channels are range(5)
+            return pair_values(lags, cov, slots, *args)
 
         monkeypatch.setattr(causality, "fit_equations", counting_fits)
         monkeypatch.setattr(causality, "_pair_values", counting_pairs)
