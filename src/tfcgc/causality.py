@@ -469,10 +469,10 @@ def pairwise_maps(
         raise ConfigError(f"channels {channels} repeat {repeated}")
     every = {(s, k) for s in channels for k in channels if k != s}
     wanted = every if pairs is None else set(map(tuple, pairs))
-    if not wanted <= every:
+    if not wanted or not wanted <= every:
         raise ConfigError(
             f"pairs {sorted(wanted - every)} must join two different channels "
-            f"of {channels}"
+            f"of {channels}" if wanted else "pairs is empty: no map to compute"
         )
     freqs = config.freq_grid(sampling_rate)
     n = signals.shape[1]

@@ -15,11 +15,10 @@ are bitwise reproducible.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, DataError, Range, check_ranges, ranged
 
@@ -93,7 +92,7 @@ class ConvNetModel:
             self.input_shape,
             {k: v.copy() for k, v in self.params.items()},
             {k: v.copy() for k, v in self.running.items()},
-            copy.deepcopy(self.history),
+            [dict(h) for h in self.history],
         )
 
 
@@ -152,9 +151,12 @@ def _temporal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _temporal_conv_backward(grad, x, w):
     tau = w.shape[2]
     l_out = grad.shape[2]
-    dx = np.zeros_like(x)
-    for k in range(tau):
-        dx[:, :, k : k + l_out] += np.matmul(w[:, :, k].T, grad)
+    # taps[k] is tap k's product, shifted by k; the sum adds in tap order
+    taps = np.zeros((tau,) + x.shape)
+    s0, s1, s2, s3 = taps.strides
+    shifted = as_strided(taps, (tau, *x.shape[:2], l_out), (s0 + s3, s1, s2, s3))
+    np.matmul(w.transpose(2, 1, 0)[:, None], grad, out=shifted)
+    dx = np.add.reduce(taps, axis=0, initial=0.0)
     # windows[b, p, k, t] = x[b, p, k + t]; the unfold copies only a
     # training batch
     windows = sliding_window_view(x, l_out, axis=2)
@@ -169,24 +171,22 @@ def _elu(x):
 
 def _elu_backward(grad, y):
     # derivative is 1 for positive inputs, exp(x) = y + 1 otherwise
-    return grad * np.where(y > 0, 1.0, y + 1.0)
+    return np.where(y > 0, grad, grad * (y + 1.0))
 
 
 def _max_pool(x):
-    b, c, l = x.shape
-    l_out = l // POOL_FACTOR
-    trimmed = x[:, :, : l_out * POOL_FACTOR].reshape(b, c, l_out, POOL_FACTOR)
-    idx = trimmed.argmax(axis=3)
-    out = np.take_along_axis(trimmed, idx[..., None], axis=3)[..., 0]
-    return out, idx
+    # the pairs (2t, 2t + 1) as two strided views, so POOL_FACTOR must be
+    # 2; a tie keeps the first element, as argmax does
+    l_out = x.shape[2] // POOL_FACTOR
+    first, second = x[:, :, 0 : 2 * l_out : 2], x[:, :, 1 : 2 * l_out : 2]
+    idx = second > first
+    return np.where(idx, second, first), idx
 
 
 def _max_pool_backward(grad, idx, l_in):
-    b, c, l_out = grad.shape
-    dtrim = np.zeros((b, c, l_out, POOL_FACTOR))
-    np.put_along_axis(dtrim, idx[..., None], grad[..., None], axis=3)
-    dx = np.zeros((b, c, l_in))
-    dx[:, :, : l_out * POOL_FACTOR] = dtrim.reshape(b, c, l_out * POOL_FACTOR)
+    dx = np.zeros(grad.shape[:2] + (l_in,))
+    dx[:, :, 0 : 2 * grad.shape[2] : 2] = np.where(idx, 0.0, grad)
+    dx[:, :, 1 : 2 * grad.shape[2] : 2] = np.where(idx, grad, 0.0)
     return dx
 
 
@@ -231,8 +231,11 @@ def forward(
         cache[f"b{block}/conv_in"] = h
         h = _temporal_conv(h, w, model.params[f"block{block}/b"])
         if train:
-            mean = h.mean(axis=(0, 2))
-            var = h.var(axis=(0, 2))
+            # np.mean's and np.var's own steps, keeping the centred batch
+            count = h.shape[0] * h.shape[2]
+            mean = h.sum(axis=(0, 2)) / count
+            centred = h - mean[None, :, None]
+            var = (centred * centred).sum(axis=(0, 2)) / count
             m = BN_MOMENTUM
             model.running[f"block{block}/mean"] = (
                 m * model.running[f"block{block}/mean"] + (1 - m) * mean
@@ -243,15 +246,15 @@ def forward(
         else:
             mean = model.running[f"block{block}/mean"]
             var = model.running[f"block{block}/var"]
+            centred = h - mean[None, :, None]
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (h - mean[None, :, None]) * inv_std[None, :, None]
+        xhat = centred * inv_std[None, :, None]
         cache[f"b{block}/xhat"] = xhat
         cache[f"b{block}/inv_std"] = inv_std
         gamma = model.params[f"block{block}/gamma"]
         h = gamma[None, :, None] * xhat + model.params[f"block{block}/beta"][None, :, None]
         h = _elu(h)
         cache[f"b{block}/act"] = h
-        cache[f"b{block}/pool_in_len"] = h.shape[2]
         h, idx = _max_pool(h)
         cache[f"b{block}/pool_idx"] = idx
         cache[f"b{block}/out"] = h
@@ -310,7 +313,7 @@ def loss_and_gradients(
     grad = dflat.reshape(h_last.shape)
     for block in range(cfg.block_count, 0, -1):
         grad = _max_pool_backward(
-            grad, cache[f"b{block}/pool_idx"], cache[f"b{block}/pool_in_len"]
+            grad, cache[f"b{block}/pool_idx"], cache[f"b{block}/act"].shape[2]
         )
         grad = _elu_backward(grad, cache[f"b{block}/act"])
         xhat = cache[f"b{block}/xhat"]
@@ -342,21 +345,25 @@ def loss_and_gradients(
 
 
 class AdamState:
-    """Per-tensor first/second moment accumulators."""
+    """First/second moment accumulators, flat over the tensors in key order."""
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(sum(v.size for v in params.values()))
+        self.v = np.zeros_like(self.m)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        for key, g in grads.items():
-            self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
-            self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
-            mhat = self.m[key] / (1 - BETA1**self.t)
-            vhat = self.v[key] / (1 - BETA2**self.t)
-            params[key] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+        g = np.concatenate([grads[key].ravel() for key in params])
+        self.m = BETA1 * self.m + (1 - BETA1) * g
+        self.v = BETA2 * self.v + (1 - BETA2) * g * g
+        mhat = self.m / (1 - BETA1**self.t)
+        vhat = self.v / (1 - BETA2**self.t)
+        update = LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+        start = 0
+        for p in params.values():
+            p -= update[start : start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def predict(model: ConvNetModel, images: np.ndarray) -> np.ndarray:

@@ -785,6 +785,8 @@ def gridsearch(
     Returns one record per configuration with its mean fold accuracy,
     best first.
     """
+    if folds < 2:  # fewer folds leave no split to validate on
+        raise ConfigError(f"folds must be at least 2, got {folds}")
     images = np.asarray(images, float)
     labels = np.asarray(labels)
     n = len(labels)

@@ -473,6 +473,12 @@ class TestTfCgcMap:
         with pytest.raises(ConfigError, match=re.escape(f"pairs [{pair}] must join")):
             pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [(0, 1), pair])
 
+    def test_pairwise_rejects_empty_pairs(self, monkeypatch):
+        monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
+        sig = np.random.default_rng(7).standard_normal((4, 300))
+        with pytest.raises(ConfigError, match="pairs is empty"):
+            pairwise_maps(sig, [0, 1, 2, 3], 250.0, CHEAP, [])
+
     def test_pairwise_rejects_repeated_channel(self, monkeypatch):
         monkeypatch.setattr(causality, "fit_equations", None)  # fails if fitting
         sig = np.random.default_rng(7).standard_normal((4, 300))

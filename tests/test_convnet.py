@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from tfcgc import convnet
 from tfcgc.convnet import (
     BN_EPSILON,
+    AdamState,
     ConfigError,
     ConvNetConfig,
     DataError,
+    _elu_backward,
+    _max_pool,
+    _max_pool_backward,
     _temporal_conv,
     _temporal_conv_backward,
     _time_lengths,
@@ -212,6 +217,120 @@ class TestTemporalConv:
             [forward(model, images[a:b]) for a, b in ((0, 16), (16, 32), (32, 40))]
         )
         self.assert_close(chunks, whole)
+
+
+class TestSameBitsAsPerTapForms:
+    """The fused step kernels give exactly the bits of the plain forms they
+    replace: argmax pooling, per-tensor Adam, np.mean/np.var batch norm,
+    one product per tap in the convolution's input gradient."""
+
+    @staticmethod
+    def argmax_pool(x):
+        b, c, l = x.shape
+        trimmed = x[:, :, : l // 2 * 2].reshape(b, c, l // 2, 2)
+        idx = trimmed.argmax(axis=3)
+        return np.take_along_axis(trimmed, idx[..., None], axis=3)[..., 0], idx
+
+    @staticmethod
+    def argmax_pool_backward(grad, idx, l_in):
+        b, c, l_out = grad.shape
+        dtrim = np.zeros((b, c, l_out, 2))
+        np.put_along_axis(dtrim, idx[..., None], grad[..., None], axis=3)
+        dx = np.zeros((b, c, l_in))
+        dx[:, :, : l_out * 2] = dtrim.reshape(b, c, l_out * 2)
+        return dx
+
+    @pytest.mark.parametrize("length", [8, 7])
+    def test_pooling_ties_and_odd_length(self, length):
+        rng = np.random.default_rng(length)
+        # values from {0, 1, 2} make many tied pairs
+        x = rng.integers(0, 3, (4, 3, length)).astype(float)
+        out, idx = _max_pool(x)
+        ref_out, ref_idx = self.argmax_pool(x)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(idx, ref_idx == 1)
+        ties = x[:, :, 0 : length // 2 * 2 : 2] == x[:, :, 1 : length // 2 * 2 : 2]
+        assert ties.any() and not idx[ties].any()
+        grad = rng.standard_normal(out.shape)
+        dx = _max_pool_backward(grad, idx, length)
+        assert np.array_equal(dx, self.argmax_pool_backward(grad, ref_idx, length))
+        if length % 2:
+            assert np.array_equal(dx[:, :, -1], np.zeros((4, 3)))
+
+    def test_elu_backward(self):
+        rng = np.random.default_rng(1)
+        y = np.expm1(rng.standard_normal((4, 3, 9)))
+        grad = rng.standard_normal(y.shape)
+        expected = grad * np.where(y > 0, 1.0, y + 1.0)
+        assert np.array_equal(_elu_backward(grad, y), expected)
+
+    def test_flat_adam_matches_per_tensor_update(self):
+        model = build_convnet(TINY, (4, 20))
+        flat, per_tensor = model.params, {k: v.copy() for k, v in model.params.items()}
+        m = {k: np.zeros_like(p) for k, p in per_tensor.items()}
+        v = {k: np.zeros_like(p) for k, p in per_tensor.items()}
+        adam = AdamState(flat)
+        rng = np.random.default_rng(2)
+        for t in range(1, 5):
+            # gradients in reverse key order: the flat state reads params' order
+            grads = {k: rng.standard_normal(p.shape) for k, p in reversed(flat.items())}
+            adam.step(flat, grads)
+            for key, g in grads.items():
+                m[key] = convnet.BETA1 * m[key] + (1 - convnet.BETA1) * g
+                v[key] = convnet.BETA2 * v[key] + (1 - convnet.BETA2) * g * g
+                mhat = m[key] / (1 - convnet.BETA1**t)
+                vhat = v[key] / (1 - convnet.BETA2**t)
+                per_tensor[key] -= (
+                    convnet.LEARNING_RATE * mhat / (np.sqrt(vhat) + convnet.ADAM_EPSILON)
+                )
+            for key in flat:
+                assert np.array_equal(flat[key], per_tensor[key]), (t, key)
+
+    def test_train_batch_norm_statistics(self, monkeypatch):
+        # with momentum 0 the running statistics are the batch's own
+        monkeypatch.setattr(convnet, "BN_MOMENTUM", 0.0)
+        model = build_convnet(TINY, (4, 20))
+        rng = np.random.default_rng(3)
+        _, cache = forward(
+            model, rng.standard_normal((5, 4, 20)), mode="train", rng=rng,
+            return_cache=True,
+        )
+        for block in (1, 2):
+            h = _temporal_conv(
+                cache[f"b{block}/conv_in"],
+                model.params[f"block{block}/W"],
+                model.params[f"block{block}/b"],
+            )
+            mean, var = h.mean(axis=(0, 2)), h.var(axis=(0, 2))
+            assert np.array_equal(model.running[f"block{block}/mean"], mean)
+            assert np.array_equal(model.running[f"block{block}/var"], var)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+            xhat = (h - mean[None, :, None]) * inv_std[None, :, None]
+            assert np.array_equal(cache[f"b{block}/xhat"], xhat)
+
+    @pytest.mark.parametrize("batch, c_in, c_out, length, tau", TestTemporalConv.SHAPES)
+    def test_conv_input_gradient(self, batch, c_in, c_out, length, tau):
+        rng = np.random.default_rng(length + tau)
+        x = rng.standard_normal((batch, c_in, length))
+        w = rng.standard_normal((c_out, c_in, tau))
+        grad = rng.standard_normal((batch, c_out, length - tau + 1))
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        l_out = grad.shape[2]
+        expected = np.zeros_like(x)
+        for k in range(tau):
+            expected[:, :, k : k + l_out] += np.matmul(w[:, :, k].T, grad)
+        dx = _temporal_conv_backward(grad, x, w)[0]
+        assert np.array_equal(dx, expected)
+        assert np.array_equal(np.signbit(dx), np.signbit(expected))
+
+    def test_clone_copies_history(self):
+        model = build_convnet(TINY, (4, 20))
+        model.history = [{"epoch": 0, "train_loss": 0.5, "score": 0.75}]
+        twin = model.clone()
+        assert twin.history == model.history
+        twin.history[0]["score"] = 1.0
+        twin.history.append({"epoch": 1, "train_loss": 0.4, "score": 0.8})
+        assert model.history == [{"epoch": 0, "train_loss": 0.5, "score": 0.75}]
 
 
 class TestGradients:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import zlib
 
 import numpy as np
@@ -630,6 +631,15 @@ class TestGridsearch:
         assert len(results) == 2
         assert results[0]["mean_accuracy"] >= results[1]["mean_accuracy"]
         assert all(r["folds"] == 4 for r in results)
+
+    @pytest.mark.parametrize("folds", [0, 1, -1])
+    def test_folds_below_two_refused(self, folds):
+        images = np.random.default_rng(3).standard_normal((6, 90, 64))
+        labels = np.array([1, -1] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"folds must be at least 2, got {folds}"):
+                gridsearch(images, labels, folds=folds)
 
     def test_infeasible_configs_skipped(self):
         rng = np.random.default_rng(2)
